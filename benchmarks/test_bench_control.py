@@ -12,8 +12,7 @@ Two acceptance bars from the control subsystem:
 * Under the flash-crowd scenario, the autotuned arm must hold the
   (probe-calibrated) p99 SLO in a solid majority of control windows
   and lose no requests.  The attainment lands in
-  ``results/control.json`` where ``compare.py`` gates it against the
-  committed baseline.
+  ``results/control.json``.
 """
 
 import json
@@ -40,7 +39,7 @@ CONCURRENCY = 32
 WORKERS = 4
 MICRO_ITERS = 20_000
 TIME_SCALE = 0.35
-ATTAINMENT_FLOOR = 0.6   # hard in-test bar; compare.py gates the level
+ATTAINMENT_FLOOR = 0.6   # hard in-test bar
 
 
 def _plain_run(store, images):

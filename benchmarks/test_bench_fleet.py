@@ -12,8 +12,7 @@ at once no matter how the work is sharded, so the whole benchmark
 skips there.  Responses must be bitwise identical across fleet sizes —
 sharding is a deployment knob, never an accuracy knob.
 
-Machine-readable metrics land in ``results/fleet.json`` for
-``benchmarks/compare.py`` / the CI bench job.
+Machine-readable metrics land in ``results/fleet.json``.
 """
 
 import json

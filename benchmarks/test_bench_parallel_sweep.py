@@ -10,8 +10,7 @@ single-core containers still run the determinism and cache-resume
 checks but skip the timing assertion (process parallelism cannot beat
 the sequential path without cores to run on).
 
-Machine-readable metrics land in ``results/parallel_sweep.json`` for
-``benchmarks/compare.py`` / the CI bench job.
+Machine-readable metrics land in ``results/parallel_sweep.json``.
 """
 
 import functools

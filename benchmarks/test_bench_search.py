@@ -4,7 +4,7 @@ Runs one cold two-generation search on the tiny task, then replays it
 (``resume=True``) against the warm salted cache and asserts at least
 90% of evaluations are served without retraining and the frontiers are
 bitwise identical.  Machine-readable metrics land in
-``results/search.json`` for ``benchmarks/compare.py``.
+``results/search.json``.
 """
 
 import json

@@ -4,8 +4,7 @@ Runs the cycle-level tile simulator (``repro.hw.sim``) over every
 paper precision on LeNet and records the simulated cycles, energy and
 the gap to the analytical model.  Hardware-only — exact in every mode.
 
-The wall-time of this file is gated by ``compare.py`` as
-``wall_s.sim``; the per-precision energy gaps re-assert the headline
+The per-precision energy gaps re-assert the headline
 5% cross-validation tolerance so a model drift shows up here as well
 as in tier-1.
 """

@@ -31,6 +31,53 @@ def integer_bits_for_range(max_abs: float) -> int:
     return int(math.ceil(math.log2(max_abs + 1e-12)))
 
 
+def _saturate(codes: np.ndarray, bits: int) -> np.ndarray:
+    """Clip float codes, in place, to the signed ``bits``-wide range."""
+    return np.clip(codes, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1, out=codes)
+
+
+def quantize_fixed(
+    x: np.ndarray, bits: int, frac_bits: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Round-to-nearest-even onto the ``bits``-wide grid ``k / 2^frac_bits``.
+
+    scale -> rint -> saturate -> rescale, for float32 ``x``; the result
+    is float32, written into ``out`` when given (which may be ``x``).
+
+    With ``bits <= 24`` every saturated code fits a float32 mantissa,
+    and while ``2^frac_bits`` is a normal float32 (``-126 <= frac_bits
+    <= 127``) the scaling is an exact exponent shift, so the chain runs
+    in float32 in place and yields the very bits a float64 round trip
+    does: lanes that overflow float32 before the clip saturate to the
+    same codes, and sub-half lanes round to the same signed zeros.
+    Wider words or extreme radix points take the float64 chain.
+    """
+    scale = float(2.0**frac_bits)
+    if bits <= 24 and -126 <= frac_bits <= 127:
+        if out is None:
+            out = np.empty(x.shape, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            np.multiply(x, scale, out=out)
+        np.rint(out, out=out)
+        _saturate(out, bits)
+        return np.divide(out, scale, out=out)
+    wide = x.astype(np.float64) * scale
+    np.rint(wide, out=wide)
+    _saturate(wide, bits)
+    np.divide(wide, scale, out=wide)
+    if out is None:
+        return wide.astype(np.float32)
+    np.copyto(out, wide, casting="unsafe")
+    return out
+
+
+def fixed_codes(x: np.ndarray, bits: int, frac_bits: int) -> np.ndarray:
+    """The int64 codes :func:`quantize_fixed` rounds ``x`` onto."""
+    wide = np.asarray(x, dtype=np.float64) * float(2.0**frac_bits)
+    np.rint(wide, out=wide)
+    return _saturate(wide, bits).astype(np.int64)
+
+
 class FixedPointQuantizer(Quantizer):
     """Signed two's-complement fixed point with saturation.
 
@@ -87,26 +134,18 @@ class FixedPointQuantizer(Quantizer):
     def quantize(self, x: np.ndarray, range_hint: Optional[float] = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
         frac = self.resolve_frac_bits(x, range_hint)
+        if not self.stochastic_rounding:
+            return quantize_fixed(x, self.bits, frac)
         scale = float(2.0**frac)
-        q_min = -(2 ** (self.bits - 1))
-        q_max = 2 ** (self.bits - 1) - 1
         scaled = x.astype(np.float64) * scale
-        if self.stochastic_rounding:
-            floor = np.floor(scaled)
-            prob_up = scaled - floor
-            rounded = floor + (self._rng.random(scaled.shape) < prob_up)
-        else:
-            rounded = np.rint(scaled)
-        clipped = np.clip(rounded, q_min, q_max)
-        return (clipped / scale).astype(np.float32)
+        floor = np.floor(scaled)
+        rounded = floor + (self._rng.random(scaled.shape) < scaled - floor)
+        return (_saturate(rounded, self.bits) / scale).astype(np.float32)
 
     def integer_repr(self, x: np.ndarray, range_hint: Optional[float] = None) -> np.ndarray:
         """The stored integer codes (for memory/hardware-level tests)."""
         frac = self.resolve_frac_bits(np.asarray(x), range_hint)
-        scale = float(2.0**frac)
-        q_min = -(2 ** (self.bits - 1))
-        q_max = 2 ** (self.bits - 1) - 1
-        return np.clip(np.rint(np.asarray(x, dtype=np.float64) * scale), q_min, q_max).astype(np.int64)
+        return fixed_codes(x, self.bits, frac)
 
     def step_size(self, range_hint: float) -> float:
         """Quantization step for a given dynamic range."""

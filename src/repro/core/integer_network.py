@@ -37,7 +37,7 @@ from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense, Flatten
 from repro.nn.activations import ReLU
 from repro.nn.im2col import conv_output_size, im2col
-from repro.nn.pooling import AvgPool2D, MaxPool2D
+from repro.nn.pooling import AvgPool2D, MaxPool2D, max_pool, sum_pool
 
 #: accumulator width carried between a MAC layer and the next requantize
 ACCUMULATOR_BITS = 48
@@ -175,9 +175,7 @@ class IntegerInference:
     def _conv(self, layer: Conv2D, codes, fmt):
         w_codes, w_fmt = self._weight_codes(layer.weight)
         product_frac = fmt.frac_bits + w_fmt.frac_bits
-        cols = im2col(
-            codes.astype(np.float64), layer.kernel_size, layer.stride, layer.padding
-        ).astype(np.int64)
+        cols = im2col(codes.astype(np.int64), layer.kernel_size, layer.stride, layer.padding)
         acc = w_codes.reshape(layer.out_channels, -1) @ cols
         if layer.bias is not None:
             b_codes, b_frac = self._bias_codes(layer.bias)
@@ -203,17 +201,12 @@ class IntegerInference:
 
     @staticmethod
     def _maxpool(layer: MaxPool2D, codes):
-        out_h, out_w = layer._out_hw(codes.shape[2], codes.shape[3])
-        int_min = np.iinfo(np.int64).min
-        padded = layer._padded(codes.astype(np.float64), fill=float(int_min))
-        windows = layer._windows(padded, out_h, out_w)
-        return windows.max(axis=0).astype(np.int64)
+        padded, out = layer._pooled(codes, fill=np.iinfo(np.int64).min)
+        return max_pool(padded, layer.kernel_size, layer.stride, out)
 
     @staticmethod
     def _avgpool(layer: AvgPool2D, codes):
         """Window sums only; the k^2 divisor is folded into the next
         requantize so the integer path rounds exactly once."""
-        out_h, out_w = layer._out_hw(codes.shape[2], codes.shape[3])
-        padded = layer._padded(codes.astype(np.float64), fill=0.0)
-        windows = layer._windows(padded, out_h, out_w).astype(np.int64)
-        return windows.sum(axis=0)
+        padded, out = layer._pooled(codes, fill=0)
+        return sum_pool(padded, layer.kernel_size, layer.stride, out)

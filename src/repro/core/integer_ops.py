@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.fixed_point import FixedPointQuantizer
+from repro.core.fixed_point import FixedPointQuantizer, fixed_codes
 from repro.errors import QuantizationError
 from repro.nn.im2col import conv_output_size, im2col
 
@@ -63,8 +63,7 @@ class FixedPointFormat:
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Float values -> integer codes (round-to-nearest-even, saturating)."""
-        scaled = np.rint(np.asarray(values, dtype=np.float64) * self.scale)
-        return np.clip(scaled, self.q_min, self.q_max).astype(np.int64)
+        return fixed_codes(values, self.total_bits, self.frac_bits)
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """Integer codes -> float values (float64 for exactness)."""
@@ -136,9 +135,7 @@ def integer_conv2d(
     out_h = conv_output_size(x_codes.shape[2], kernel, stride, padding)
     out_w = conv_output_size(x_codes.shape[3], kernel, stride, padding)
 
-    # im2col only gathers values; float64 holds int codes up to 2^53 exactly
-    cols = im2col(x_codes.astype(np.float64), kernel, stride, padding)
-    cols = cols.astype(np.int64)
+    cols = im2col(x_codes.astype(np.int64), kernel, stride, padding)
     w_mat = w_codes.reshape(out_c, -1).astype(np.int64)
     product_frac = in_format.frac_bits + w_format.frac_bits
     acc = w_mat @ cols

@@ -17,7 +17,6 @@ from repro.kernels.fused import (
     fused_maxpool,
     fused_quantize,
     fused_relu_quantize,
-    im2col_into,
     to_nchw,
 )
 from repro.kernels.workspace import Workspace
@@ -31,6 +30,5 @@ __all__ = [
     "fused_maxpool",
     "fused_quantize",
     "fused_relu_quantize",
-    "im2col_into",
     "to_nchw",
 ]

@@ -11,13 +11,14 @@ temporaries.
 
 Every kernel is **bitwise-equal** to the reference implementation it
 replaces (``repro.nn`` layer ``forward`` + ``FakeQuantLayer``).  Three
-equalities carry the speed without breaking that contract:
+choices carry the speed without breaking that contract:
 
-- *float32 quantization*: scaling by a power of two is exact in
-  float32, so for word lengths whose code range fits a float32
-  mantissa (``bits <= 24``) the whole round/saturate/rescale chain can
-  run at single precision in place — the reference's float64 round
-  trip is only kept for ``fixed32``;
+- *shared arithmetic*: the fixed-point chain
+  (:func:`~repro.core.fixed_point.quantize_fixed`), the im2col
+  lowering (:func:`~repro.nn.im2col.im2col`) and the pooling walks
+  (:func:`~repro.nn.pooling.max_pool` / ``sum_pool``) are the very
+  functions the reference layers run, handed workspace buffers through
+  ``out=``;
 - *channel-major (CHWN) activations*: the im2col matmul naturally
   produces ``(C_out, OH, OW, N)``; since quantize/ReLU are elementwise
   and pooling windows are layout-agnostic, downstream kernels accept
@@ -43,9 +44,11 @@ from typing import Hashable, Optional
 
 import numpy as np
 
-from repro.core.fixed_point import FixedPointQuantizer
+from repro.core.fixed_point import FixedPointQuantizer, quantize_fixed
 from repro.core.quantizers import IdentityQuantizer, Quantizer
 from repro.kernels.workspace import Workspace
+from repro.nn.im2col import im2col
+from repro.nn.pooling import max_pool, pool_source, sum_pool
 
 __all__ = [
     "fusable_quantizer",
@@ -55,7 +58,6 @@ __all__ = [
     "fused_maxpool",
     "fused_avgpool",
     "fused_relu_quantize",
-    "im2col_into",
     "to_nchw",
 ]
 
@@ -74,48 +76,6 @@ def fusable_quantizer(quantizer: Optional[Quantizer]) -> bool:
         type(quantizer) is FixedPointQuantizer
         and not quantizer.stochastic_rounding
     )
-
-
-def _quantize_core(
-    quantizer: FixedPointQuantizer,
-    x: np.ndarray,
-    frac_bits: int,
-    ws: Workspace,
-    key: Hashable,
-    in_place: bool,
-) -> np.ndarray:
-    """scale -> rint -> clip -> rescale, matching the reference bit for bit.
-
-    Fast path: with ``bits <= 24`` every clipped code is exactly
-    representable in a float32 mantissa, and ``2^frac`` scaling is an
-    exact exponent shift while the scale itself is a normal float32
-    (``-126 <= frac <= 127``), so multiply/rint/clip/divide at single
-    precision produce the identical bit pattern the reference's
-    float64 round trip does (brute-force-verified across saturation,
-    subnormal and non-finite corners).  ``fixed32`` codes exceed the
-    float32 mantissa, so that width keeps the float64 chain.
-    """
-    scale = float(2.0**frac_bits)
-    q_min = float(-(2 ** (quantizer.bits - 1)))
-    q_max = float(2 ** (quantizer.bits - 1) - 1)
-    if quantizer.bits <= 24 and -126 <= frac_bits <= 127:
-        out = x if in_place else ws.get((key, "q32"), x.shape, np.float32)
-        # saturated lanes may overflow float32 pre-clip; the clip heals
-        # them to the same codes the float64 path produces
-        with np.errstate(over="ignore"):
-            np.multiply(x, scale, out=out)
-        np.rint(out, out=out)
-        np.clip(out, q_min, q_max, out=out)
-        np.divide(out, scale, out=out)
-        return out
-    buf64 = ws.get((key, "q64"), x.shape, np.float64)
-    out = x if in_place else ws.get((key, "q32"), x.shape, np.float32)
-    np.multiply(x, scale, out=buf64)
-    np.rint(buf64, out=buf64)
-    np.clip(buf64, q_min, q_max, out=buf64)
-    np.divide(buf64, scale, out=buf64)
-    np.copyto(out, buf64, casting="unsafe")
-    return out
 
 
 def fused_quantize(
@@ -140,7 +100,8 @@ def fused_quantize(
         return np.asarray(x, dtype=np.float32)
     x = np.asarray(x, dtype=np.float32)
     frac = quantizer.resolve_frac_bits(x, range_hint)
-    return _quantize_core(quantizer, x, frac, ws, key, in_place)
+    out = x if in_place else ws.get((key, "q32"), x.shape, np.float32)
+    return quantize_fixed(x, quantizer.bits, frac, out=out)
 
 
 def fused_relu_quantize(
@@ -183,7 +144,8 @@ def fused_relu_quantize(
         frac = quantizer.frac_bits_for(range_hint)
     else:
         frac = quantizer.frac_bits_for(float(np.max(x, initial=0.0)))
-    out = _quantize_core(quantizer, x, frac, ws, key, in_place)
+    out = x if in_place else ws.get((key, "q32"), x.shape, np.float32)
+    quantize_fixed(x, quantizer.bits, frac, out=out)
     np.copyto(out, 0.0, where=mask)
     return out
 
@@ -201,41 +163,6 @@ def fused_dense(
     if bias is not None:
         out += bias
     return out
-
-
-def im2col_into(
-    src: np.ndarray,
-    kernel: int,
-    stride: int,
-    out_h: int,
-    out_w: int,
-    cols: np.ndarray,
-    chwn: bool = False,
-) -> np.ndarray:
-    """Lower ``src`` (already padded) into the ``cols`` buffer.
-
-    Produces the exact ``(C*K*K, OHW*N)`` layout of
-    :func:`repro.nn.im2col.im2col` — row ``c*K*K + ki*K + kj``, column
-    ``o*N + n`` — via strided-view assignments, so the only writes land
-    in the preallocated buffer.  ``src`` is NCHW by default; with
-    ``chwn`` it is channel-major ``(C, H, W, N)``, whose shifted views
-    already match the column layout with no per-patch transpose.
-    """
-    c = src.shape[0] if chwn else src.shape[1]
-    out5 = cols.reshape(c, kernel * kernel, out_h, out_w, -1)
-    for ki in range(kernel):
-        row = ki * kernel
-        for kj in range(kernel):
-            if chwn:
-                out5[:, row + kj] = src[
-                    :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride
-                ]
-            else:
-                view = src[
-                    :, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride
-                ]
-                out5[:, row + kj] = view.transpose(1, 2, 3, 0)
-    return cols
 
 
 def fused_conv2d(
@@ -279,7 +206,7 @@ def fused_conv2d(
     else:
         src = x
     cols = ws.get((key, "cols"), (c * kernel * kernel, n * out_h * out_w))
-    im2col_into(src, kernel, stride, out_h, out_w, cols, chwn=chwn_in)
+    im2col(src, kernel, stride, 0, out=cols, chwn=chwn_in)
     w_mat = weight.reshape(out_c, -1)
     mm = ws.get((key, "mm"), (out_c, n * out_h * out_w))
     np.matmul(w_mat, cols, out=mm)
@@ -294,57 +221,6 @@ def to_nchw(x: np.ndarray, ws: Workspace, key: Hashable) -> np.ndarray:
     out = ws.get((key, "nchw"), (n, c, h, w))
     np.copyto(out, x.transpose(3, 0, 1, 2))
     return out
-
-
-def _pooled_source(
-    x: np.ndarray,
-    kernel: int,
-    stride: int,
-    padding: int,
-    out_h: int,
-    out_w: int,
-    fill: float,
-    ws: Workspace,
-    key: Hashable,
-    chwn: bool,
-) -> np.ndarray:
-    """Pad so every (possibly partial, ceil-mode) window is materialized.
-
-    Mirrors ``_Pool2D._padded``; when no padding is needed the input is
-    used directly — the reference's unconditional ``np.pad`` copy is
-    pure data movement, so skipping it cannot change any value.
-    """
-    h, w = (x.shape[1], x.shape[2]) if chwn else (x.shape[2], x.shape[3])
-    need_h = (out_h - 1) * stride + kernel
-    need_w = (out_w - 1) * stride + kernel
-    pad_bottom = max(0, need_h - h - padding)
-    pad_right = max(0, need_w - w - padding)
-    if padding == 0 and pad_bottom == 0 and pad_right == 0:
-        return x
-    full_h = padding + h + pad_bottom
-    full_w = padding + w + pad_right
-    if chwn:
-        pad = ws.get((key, "pad"), (x.shape[0], full_h, full_w, x.shape[3]))
-        pad.fill(fill)
-        pad[:, padding : padding + h, padding : padding + w, :] = x
-    else:
-        pad = ws.get((key, "pad"), (x.shape[0], x.shape[1], full_h, full_w))
-        pad.fill(fill)
-        pad[:, :, padding : padding + h, padding : padding + w] = x
-    return pad
-
-
-def _pool_views(src, kernel, stride, out_h, out_w, chwn):
-    for ki in range(kernel):
-        for kj in range(kernel):
-            if chwn:
-                yield src[
-                    :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride, :
-                ]
-            else:
-                yield src[
-                    :, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride
-                ]
 
 
 def _pool_out(x, out_h, out_w, ws, key, chwn):
@@ -364,24 +240,11 @@ def fused_maxpool(
     key: Hashable,
     chwn: bool = False,
 ) -> np.ndarray:
-    """Max pooling as a running ``np.maximum`` over the k*k shifted views.
-
-    The reference stacks all k*k views and takes the argmax; the
-    running maximum selects the same values without the (K*K, N, C,
-    OH, OW) stack allocation.  Output layout follows the input layout.
-    """
-    src = _pooled_source(
-        x, kernel, stride, padding, out_h, out_w, -np.inf, ws, key, chwn
-    )
-    out = _pool_out(x, out_h, out_w, ws, key, chwn)
-    first = True
-    for view in _pool_views(src, kernel, stride, out_h, out_w, chwn):
-        if first:
-            np.copyto(out, view)
-            first = False
-        else:
-            np.maximum(out, view, out=out)
-    return out
+    """The reference :func:`~repro.nn.pooling.max_pool` walk into a
+    workspace buffer; output layout follows the input layout."""
+    src = pool_source(x, kernel, stride, padding, out_h, out_w, -np.inf, chwn,
+                      lambda shape: ws.get((key, "pad"), shape))
+    return max_pool(src, kernel, stride, _pool_out(x, out_h, out_w, ws, key, chwn), chwn)
 
 
 def fused_avgpool(
@@ -395,23 +258,9 @@ def fused_avgpool(
     key: Hashable,
     chwn: bool = False,
 ) -> np.ndarray:
-    """Average pooling as a running float32 sum over the shifted views.
-
-    Sequential accumulation in view order matches ``np.mean(axis=0)``
-    over the reference's stacked windows bit for bit (numpy reduces a
-    leading axis sequentially), including the final division by the
-    full window size (Caffe ``AVE`` semantics).
-    """
-    src = _pooled_source(
-        x, kernel, stride, padding, out_h, out_w, 0.0, ws, key, chwn
-    )
-    out = _pool_out(x, out_h, out_w, ws, key, chwn)
-    first = True
-    for view in _pool_views(src, kernel, stride, out_h, out_w, chwn):
-        if first:
-            np.copyto(out, view)
-            first = False
-        else:
-            out += view
-    np.divide(out, float(kernel * kernel), out=out)
-    return out
+    """The reference :func:`~repro.nn.pooling.sum_pool` walk and
+    full-window division (Caffe ``AVE``) into a workspace buffer."""
+    src = pool_source(x, kernel, stride, padding, out_h, out_w, 0.0, chwn,
+                      lambda shape: ws.get((key, "pad"), shape))
+    out = sum_pool(src, kernel, stride, _pool_out(x, out_h, out_w, ws, key, chwn), chwn)
+    return np.divide(out, float(kernel * kernel), out=out)

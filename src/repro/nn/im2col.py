@@ -1,13 +1,16 @@
-"""im2col / col2im lowering for convolution and pooling.
+"""im2col / col2im lowering and the shared conv/pool window walk.
 
 Convolution is implemented as a matrix multiply over patch columns, the
-same lowering Caffe uses.  The implementation is vectorized with
-``as_strided``-free fancy indexing (safe, no aliasing surprises).
+same lowering Caffe uses.  Both directions walk the k*k shifted,
+strided window views of the padded input (:func:`window_views`, which
+pooling walks too) — one slice copy or slice ``+=`` per kernel offset
+over a contiguous channel-major ``(C, H, W, N)`` array — so no index
+arrays are built and every write lands in the column or image buffer.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -35,57 +38,76 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int, ceil_mod
     return span // stride + 1
 
 
-def _im2col_indices(
-    channels: int, height: int, width: int, kernel: int, stride: int, padding: int,
-    out_h: int, out_w: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays mapping padded-image pixels to column entries."""
-    i0 = np.repeat(np.arange(kernel), kernel)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kernel), kernel * channels)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kernel * kernel).reshape(-1, 1)
-    return k, i, j
+def window_views(
+    src: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int, chwn: bool = False,
+) -> Iterator[np.ndarray]:
+    """The k*k shifted, strided views of an (already padded) map.
+
+    View ``ki*K + kj`` holds, at output position ``(oh, ow)``, the pixel
+    ``(oh*stride + ki, ow*stride + kj)``; views come in that row-major
+    kernel-offset order.  Spatial axes are 2-3 for NCHW and 1-2 for
+    channel-major ``(C, H, W, N)`` (``chwn``).  The views alias
+    ``src``, so writing through them scatters into it.
+    """
+    for ki in range(kernel):
+        rows = slice(ki, ki + stride * out_h, stride)
+        for kj in range(kernel):
+            cols = slice(kj, kj + stride * out_w, stride)
+            yield src[:, rows, cols] if chwn else src[:, :, rows, cols]
 
 
 def im2col(
-    x: np.ndarray, kernel: int, stride: int, padding: int,
+    x: np.ndarray,
+    kernel: int,
+    stride: int,
+    padding: int,
+    out: Optional[np.ndarray] = None,
+    chwn: bool = False,
 ) -> np.ndarray:
-    """Lower NCHW batch ``x`` into columns.
+    """Lower a batch into patch columns.
 
-    Returns an array of shape ``(C*K*K, N*out_h*out_w)`` whose columns
-    are the flattened receptive fields in row-major output order.
+    ``x`` is NCHW, or channel-major ``(C, H, W, N)`` with ``chwn``.
+    Returns ``(C*K*K, OH*OW*N)``: row ``c*K*K + ki*K + kj``, column
+    ``(oh*OW + ow)*N + n`` — the flattened receptive fields in
+    row-major output order, batch innermost.  ``out`` receives the
+    columns when given (any buffer of that size and a compatible
+    dtype); otherwise a fresh array of ``x``'s dtype is returned.
     """
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel, stride, padding)
-    out_w = conv_output_size(w, kernel, stride, padding)
-    x_pad = np.pad(
-        x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-    )
-    k, i, j = _im2col_indices(c, h, w, kernel, stride, padding, out_h, out_w)
-    cols = x_pad[:, k, i, j]  # (N, C*K*K, out_h*out_w)
-    return cols.transpose(1, 2, 0).reshape(c * kernel * kernel, -1)
+    # a contiguous channel-major source makes every view copy below
+    # move whole batch rows
+    src = x if chwn else x.transpose(1, 2, 3, 0)
+    if padding:
+        p = (padding, padding)
+        src = np.pad(src, ((0, 0), p, p, (0, 0)))
+    else:
+        src = np.ascontiguousarray(src)
+    c, h, w, n = src.shape
+    out_h = conv_output_size(h, kernel, stride, 0)
+    out_w = conv_output_size(w, kernel, stride, 0)
+    if out is None:
+        out = np.empty((c * kernel * kernel, out_h * out_w * n), dtype=x.dtype)
+    out5 = out.reshape(c, kernel * kernel, out_h, out_w, n)
+    for index, view in enumerate(window_views(src, kernel, stride, out_h, out_w, chwn=True)):
+        out5[:, index] = view
+    return out
 
 
 def col2im(
     cols: np.ndarray, x_shape: Tuple[int, int, int, int], kernel: int, stride: int, padding: int,
 ) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add columns back to NCHW.
+    """Adjoint of :func:`im2col`: scatter-add columns back to NCHW.
 
     Overlapping receptive fields accumulate, which is exactly the
-    gradient of the im2col gather.
+    gradient of the im2col gather.  Kernel offsets are added in
+    ascending ``(ki, kj)`` order, so every pixel sums its contributions
+    in the order an element-wise scatter over the columns visits them.
     """
     n, c, h, w = x_shape
     out_h = conv_output_size(h, kernel, stride, padding)
     out_w = conv_output_size(w, kernel, stride, padding)
-    h_pad, w_pad = h + 2 * padding, w + 2 * padding
-    x_pad = np.zeros((n, c, h_pad, w_pad), dtype=cols.dtype)
-    k, i, j = _im2col_indices(c, h, w, kernel, stride, padding, out_h, out_w)
-    cols_reshaped = cols.reshape(c * kernel * kernel, out_h * out_w, n).transpose(2, 0, 1)
-    np.add.at(x_pad, (slice(None), k, i, j), cols_reshaped)
-    if padding == 0:
-        return x_pad
-    return x_pad[:, :, padding:-padding, padding:-padding]
+    acc = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=cols.dtype)
+    cols5 = cols.reshape(c, kernel * kernel, out_h, out_w, n)
+    for index, view in enumerate(window_views(acc, kernel, stride, out_h, out_w, chwn=True)):
+        view += cols5[:, index]
+    interior = acc[:, padding : padding + h, padding : padding + w]
+    return np.ascontiguousarray(interior.transpose(3, 0, 1, 2))

@@ -33,6 +33,10 @@ def confusion_matrix(logits: np.ndarray, labels: np.ndarray, num_classes: int) -
     """(num_classes, num_classes) counts; rows = true class, cols = predicted."""
     labels = np.asarray(labels)
     predictions = logits.argmax(axis=1)
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (labels, predictions), 1)
-    return matrix
+    if labels.size and not (
+        0 <= labels.min() and max(labels.max(), predictions.max()) < num_classes
+    ):
+        raise ShapeError(f"labels or predictions outside [0, {num_classes})")
+    cells = labels.astype(np.int64) * num_classes + predictions
+    counts = np.bincount(cells, minlength=num_classes * num_classes)
+    return counts.reshape(num_classes, num_classes)

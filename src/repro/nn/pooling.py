@@ -4,18 +4,114 @@ Pooling uses *ceil mode* by default, matching Caffe: a partial window at
 the right/bottom edge produces an extra output.  This is required to
 reproduce the paper's network shapes (e.g. ALEX pools 3x3/stride-2 over
 a 32x32 map and yields 16x16, not 15x15).
+
+Both directions are running walks over the k*k shifted window views
+(:func:`~repro.nn.im2col.window_views`): :func:`max_pool` and
+:func:`sum_pool` never stack the windows, and the fused inference
+kernels and the integer simulator call the same two functions.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.im2col import conv_output_size
+from repro.nn.im2col import conv_output_size, window_views
 from repro.nn.module import Module
 from repro.nn.tensor import DTYPE
+
+
+def _views(src: np.ndarray, kernel: int, stride: int, out: np.ndarray, chwn: bool):
+    out_h, out_w = out.shape[1:3] if chwn else out.shape[2:]
+    return window_views(src, kernel, stride, out_h, out_w, chwn)
+
+
+def max_pool(
+    src: np.ndarray,
+    kernel: int,
+    stride: int,
+    out: np.ndarray,
+    chwn: bool = False,
+    argmax: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Running ``np.maximum`` over the window views of padded ``src``.
+
+    The maximum lands in ``out``; a NaN anywhere in a window propagates
+    to its output (of a tie between ``-0.0`` and ``+0.0`` either may
+    come back).  ``argmax``, an integer array shaped like ``out``,
+    receives with ``np.argmax`` semantics the window index holding the
+    maximum: the first maximal view, or the first NaN.
+    """
+    views = list(_views(src, kernel, stride, out, chwn))
+    np.copyto(out, views[0])
+    for view in views[1:]:
+        np.maximum(out, view, out=out)
+    if argmax is None:
+        return out
+    # Walk down so the lowest matching index is written last.  The
+    # write is an arithmetic blend, argmax += hit * (index - argmax):
+    # masked stores cost ten times as much on unpredictable masks.
+    any_nan = bool(np.isnan(out).any())
+    hit = np.empty(out.shape, dtype=np.bool_)
+    step = np.empty(out.shape, dtype=argmax.dtype)
+    for index in reversed(range(len(views))):
+        np.equal(views[index], out, out=hit)
+        if any_nan:
+            hit |= np.isnan(views[index])
+        np.subtract(index, argmax, out=step)
+        step *= hit
+        argmax += step
+    return out
+
+
+def sum_pool(
+    src: np.ndarray, kernel: int, stride: int, out: np.ndarray, chwn: bool = False,
+) -> np.ndarray:
+    """Running window sum of padded ``src`` into ``out``, in view order.
+
+    That is the order in which numpy's ``sum(axis=0)`` reduces the
+    stacked views whenever there is more than one output element.
+    """
+    views = _views(src, kernel, stride, out, chwn)
+    np.copyto(out, next(views))
+    for view in views:
+        out += view
+    return out
+
+
+def pool_source(
+    x: np.ndarray,
+    kernel: int,
+    stride: int,
+    padding: int,
+    out_h: int,
+    out_w: int,
+    fill: float,
+    chwn: bool = False,
+    alloc: Optional[Callable[[tuple], np.ndarray]] = None,
+) -> np.ndarray:
+    """Pad ``x`` so every (possibly partial, ceil-mode) window is whole.
+
+    ``x`` itself comes back when every window already fits; otherwise
+    a ``fill``-padded copy, in a buffer from ``alloc(shape)`` when
+    given (else of ``x``'s dtype).  Spatial axes as in
+    :func:`~repro.nn.im2col.window_views`.
+    """
+    axis = 1 if chwn else 2
+    h, w = x.shape[axis : axis + 2]
+    bottom = max(0, (out_h - 1) * stride + kernel - h - padding)
+    right = max(0, (out_w - 1) * stride + kernel - w - padding)
+    if padding == bottom == right == 0:
+        return x
+    shape = list(x.shape)
+    shape[axis : axis + 2] = padding + h + bottom, padding + w + right
+    pad = alloc(tuple(shape)) if alloc else np.empty(shape, dtype=x.dtype)
+    pad.fill(fill)
+    interior = (slice(None),) * axis + (slice(padding, padding + h), slice(padding, padding + w))
+    pad[interior] = x
+    return pad
 
 
 class _Pool2D(Module):
@@ -46,27 +142,13 @@ class _Pool2D(Module):
         out_w = conv_output_size(w, self.kernel_size, self.stride, self.padding, self.ceil_mode)
         return out_h, out_w
 
-    def _padded(self, x: np.ndarray, fill: float) -> np.ndarray:
-        """Pad so every (possibly partial) window is fully materialized."""
-        n, c, h, w = x.shape
-        out_h, out_w = self._out_hw(h, w)
-        need_h = (out_h - 1) * self.stride + self.kernel_size
-        need_w = (out_w - 1) * self.stride + self.kernel_size
-        pad_h = (self.padding, max(0, need_h - h - self.padding))
-        pad_w = (self.padding, max(0, need_w - w - self.padding))
-        return np.pad(
-            x, ((0, 0), (0, 0), pad_h, pad_w), mode="constant", constant_values=fill
-        )
-
-    def _windows(self, x_pad: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-        """Stack the k*k shifted views: shape (k*k, N, C, out_h, out_w)."""
-        k, s = self.kernel_size, self.stride
-        views = [
-            x_pad[:, :, ki : ki + s * out_h : s, kj : kj + s * out_w : s]
-            for ki in range(k)
-            for kj in range(k)
-        ]
-        return np.stack(views, axis=0)
+    def _pooled(self, x: np.ndarray, fill: float) -> tuple:
+        """Validated input -> (padded source, output buffer)."""
+        if x.ndim != 4:
+            raise ShapeError(f"{self.name}: expected NCHW input, got {x.shape}")
+        out_hw = self._out_hw(x.shape[2], x.shape[3])
+        src = pool_source(x, self.kernel_size, self.stride, self.padding, *out_hw, fill)
+        return src, np.empty(x.shape[:2] + out_hw, dtype=src.dtype)
 
     def output_shape(self, input_shape: tuple) -> tuple:
         c, h, w = input_shape
@@ -81,13 +163,11 @@ class MaxPool2D(_Pool2D):
     """Max pooling; backward routes gradient to the argmax pixel."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4:
-            raise ShapeError(f"{self.name}: expected NCHW input, got {x.shape}")
-        out_h, out_w = self._out_hw(x.shape[2], x.shape[3])
-        x_pad = self._padded(x, fill=-np.inf)
-        windows = self._windows(x_pad, out_h, out_w)
-        argmax = windows.argmax(axis=0)
-        out = np.take_along_axis(windows, argmax[None], axis=0)[0]
+        x_pad, out = self._pooled(x, fill=-np.inf)
+        argmax = None
+        if self.training:
+            argmax = np.empty(out.shape, dtype=np.min_scalar_type(self.kernel_size**2 - 1))
+        max_pool(x_pad, self.kernel_size, self.stride, out, argmax=argmax)
         if self.training:
             self._cache = {
                 "argmax": argmax,
@@ -102,17 +182,20 @@ class MaxPool2D(_Pool2D):
         argmax = self._cache["argmax"]
         n, c, h, w = self._cache["x_shape"]
         grad_pad = np.zeros(self._cache["pad_shape"], dtype=DTYPE)
-        out_h, out_w = grad_out.shape[2], grad_out.shape[3]
-        k = self.kernel_size
-        ki = argmax // k
-        kj = argmax % k
-        oh = np.arange(out_h)[None, None, :, None]
-        ow = np.arange(out_w)[None, None, None, :]
-        rows = oh * self.stride + ki
-        cols = ow * self.stride + kj
-        nn_idx = np.arange(n)[:, None, None, None]
-        cc_idx = np.arange(c)[None, :, None, None]
-        np.add.at(grad_pad, (nn_idx, cc_idx, rows, cols), grad_out)
+        views = list(_views(grad_pad, self.kernel_size, self.stride, grad_out, False))
+        grad_bits = np.asarray(grad_out, dtype=DTYPE).view(np.uint32)
+        hit = np.empty(grad_out.shape, dtype=np.bool_)
+        routed = np.empty(grad_out.shape, dtype=np.uint32)
+        # Descending window index is ascending output position for any
+        # one pixel of overlapping windows: the order in which a
+        # per-output scatter of grad_out accumulates.  Unrouted lanes
+        # add the bit pattern of +0.0, a no-op on these sums, which
+        # start at +0.0 and so can never become -0.0.
+        for index in reversed(range(len(views))):
+            np.equal(argmax, index, out=hit)
+            np.multiply(hit, np.uint32(0xFFFFFFFF), out=routed)
+            routed &= grad_bits
+            views[index] += routed.view(DTYPE)
         p = self.padding
         return grad_pad[:, :, p : p + h, p : p + w]
 
@@ -126,12 +209,9 @@ class AvgPool2D(_Pool2D):
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4:
-            raise ShapeError(f"{self.name}: expected NCHW input, got {x.shape}")
-        out_h, out_w = self._out_hw(x.shape[2], x.shape[3])
-        x_pad = self._padded(x, fill=0.0)
-        windows = self._windows(x_pad, out_h, out_w)
-        out = windows.mean(axis=0)
+        x_pad, out = self._pooled(x, fill=0.0)
+        sum_pool(x_pad, self.kernel_size, self.stride, out)
+        np.divide(out, float(self.kernel_size**2), out=out)
         if self.training:
             self._cache = {"x_shape": x.shape, "pad_shape": x_pad.shape}
         return out.astype(DTYPE, copy=False)
@@ -141,11 +221,8 @@ class AvgPool2D(_Pool2D):
             raise ShapeError(f"{self.name}: backward called before forward")
         n, c, h, w = self._cache["x_shape"]
         grad_pad = np.zeros(self._cache["pad_shape"], dtype=DTYPE)
-        k, s = self.kernel_size, self.stride
-        out_h, out_w = grad_out.shape[2], grad_out.shape[3]
-        share = grad_out / (k * k)
-        for ki in range(k):
-            for kj in range(k):
-                grad_pad[:, :, ki : ki + s * out_h : s, kj : kj + s * out_w : s] += share
+        share = grad_out / (self.kernel_size**2)
+        for view in _views(grad_pad, self.kernel_size, self.stride, grad_out, False):
+            view += share
         p = self.padding
         return grad_pad[:, :, p : p + h, p : p + w]

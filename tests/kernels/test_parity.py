@@ -4,6 +4,13 @@ The fused backend's whole contract is "same bits, fewer passes": for
 every Table III precision the fused kernels must reproduce the
 reference layer-by-layer path *bitwise*, and its workspaces must stop
 allocating once warm.  These tests pin both halves.
+
+Both backends run the same quantize core, im2col lowering and pooling
+walks, so this parity no longer checks that arithmetic against an
+independent chain: ``tests/core/test_fixed_point.py`` holds the
+quantizer to a float64 oracle, and ``tests/nn/test_im2col.py`` /
+``tests/nn/test_pooling.py`` hold the lowering and the walks to the
+fancy-index, stacked-window and ``np.add.at`` originals.
 """
 
 import numpy as np

@@ -1,4 +1,11 @@
-"""im2col / col2im correctness against naive reference implementations."""
+"""im2col / col2im correctness against naive and oracle implementations.
+
+The oracles are the original fancy-index gather and ``np.add.at``
+scatter.  The strided lowering must reproduce them *bitwise*: im2col is
+a pure gather, and col2im must add each pixel's contributions in the
+order ``np.add.at`` visits them, or conv gradients (and every trained
+weight) would drift by an ulp.
+"""
 
 import numpy as np
 import pytest
@@ -7,6 +14,40 @@ from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.nn.im2col import col2im, conv_output_size, im2col
+
+
+def _oracle_indices(channels, kernel, stride, out_h, out_w):
+    i0 = np.tile(np.repeat(np.arange(kernel), kernel), channels)
+    i1 = stride * np.repeat(np.arange(out_h), out_w)
+    j0 = np.tile(np.arange(kernel), kernel * channels)
+    j1 = stride * np.tile(np.arange(out_w), out_h)
+    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
+    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
+    k = np.repeat(np.arange(channels), kernel * kernel).reshape(-1, 1)
+    return k, i, j
+
+
+def oracle_im2col(x, kernel, stride, padding):
+    """Fancy-index gather (the original implementation)."""
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    x_pad = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    k, i, j = _oracle_indices(c, kernel, stride, out_h, out_w)
+    cols = x_pad[:, k, i, j]
+    return cols.transpose(1, 2, 0).reshape(c * kernel * kernel, -1)
+
+
+def oracle_col2im(cols, x_shape, kernel, stride, padding):
+    """``np.add.at`` scatter (the original implementation)."""
+    n, c, h, w = x_shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    x_pad = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    k, i, j = _oracle_indices(c, kernel, stride, out_h, out_w)
+    cols_reshaped = cols.reshape(c * kernel * kernel, out_h * out_w, n).transpose(2, 0, 1)
+    np.add.at(x_pad, (slice(None), k, i, j), cols_reshaped)
+    return x_pad[:, :, padding : padding + h, padding : padding + w]
 
 
 def naive_im2col(x, kernel, stride, padding):
@@ -52,7 +93,7 @@ def test_im2col_matches_naive():
     got = im2col(x, kernel=3, stride=2, padding=1)
     want = naive_im2col(x, kernel=3, stride=2, padding=1)
     assert got.shape == want.shape
-    assert np.allclose(got, want)
+    assert np.array_equal(got, want)
 
 
 def test_im2col_identity_kernel_one():
@@ -96,3 +137,82 @@ def test_im2col_col2im_shapes_property(n, c, size, kernel, stride, padding):
     # every pixel is counted at most kernel^2 times, at least 0
     assert back.max() <= kernel * kernel + 1e-6
     assert back.min() >= 0.0
+
+
+_lowering = dict(
+    n=st.integers(1, 3),
+    c=st.integers(1, 3),
+    height=st.integers(1, 9),
+    width=st.integers(1, 9),
+    kernel=st.integers(1, 4),
+    stride=st.integers(1, 5),  # includes stride > kernel (skipped pixels)
+    padding=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+
+
+def _lowering_input(n, c, height, width, kernel, padding, seed, dtype=np.float32):
+    if min(height, width) + 2 * padding < kernel:
+        return None
+    rng = np.random.default_rng(seed)
+    # a coarse grid makes exact ties and cancellations common
+    x = rng.integers(-4, 5, size=(n, c, height, width)).astype(dtype)
+    return x * dtype(rng.choice([1.0, 0.1, 1e-30, 3e37]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(**_lowering)
+def test_im2col_bitwise_matches_oracle(n, c, height, width, kernel, stride, padding, seed):
+    x = _lowering_input(n, c, height, width, kernel, padding, seed)
+    if x is None:
+        return
+    want = oracle_im2col(x, kernel, stride, padding)
+    got = im2col(x, kernel, stride, padding)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # channel-major input and a caller buffer give the same columns
+    into = np.full(want.shape, np.nan, dtype=x.dtype)
+    chwn = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+    assert im2col(chwn, kernel, stride, padding, out=into, chwn=True) is into
+    assert np.array_equal(into, want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(**_lowering)
+def test_col2im_bitwise_matches_add_at_oracle(
+    n, c, height, width, kernel, stride, padding, seed
+):
+    """Overlapping windows sum in np.add.at's order, bit for bit."""
+    x = _lowering_input(n, c, height, width, kernel, padding, seed)
+    if x is None:
+        return
+    rows = c * kernel * kernel
+    cols_n = conv_output_size(height, kernel, stride, padding) * conv_output_size(
+        width, kernel, stride, padding
+    ) * n
+    rng = np.random.default_rng(seed + 1)
+    # wide magnitude spread: any change of summation order shows up
+    cols = (rng.standard_normal((rows, cols_n)) * 10.0 ** rng.integers(-6, 7, (rows, cols_n)))
+    cols = cols.astype(np.float32)
+    want = oracle_col2im(cols, x.shape, kernel, stride, padding)
+    got = col2im(cols, x.shape, kernel, stride, padding)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_col2im_matches_oracle_on_non_finite_columns():
+    rng = np.random.default_rng(3)
+    shape, kernel, stride, padding = (2, 2, 7, 7), 3, 2, 1
+    cols = rng.standard_normal(im2col(np.zeros(shape, np.float32), kernel, stride, padding).shape)
+    cols = cols.astype(np.float32)
+    cols.flat[::7] = np.inf
+    cols.flat[3::11] = -np.inf
+    cols.flat[5::13] = np.nan
+    cols.flat[1::17] = -0.0
+    want = oracle_col2im(cols, shape, kernel, stride, padding)
+    got = col2im(cols, shape, kernel, stride, padding)
+    assert np.array_equal(got, want, equal_nan=True)
+    # signed zeros agree too; a NaN's sign is the adder's choice
+    # (inf + -inf yields x86's negative default NaN in SIMD lanes)
+    finite = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
