@@ -11,12 +11,9 @@ Two acceptance bars from the control subsystem:
 
 * Under the flash-crowd scenario, the autotuned arm must hold the
   (probe-calibrated) p99 SLO in a solid majority of control windows
-  and lose no requests.  The attainment lands in
-  ``results/control.json``.
+  and lose no requests.
 """
 
-import json
-import os
 import time
 
 from repro.control import (
@@ -117,15 +114,6 @@ def test_bench_control(results_dir):
         f"disabled-loop overhead     : {overhead_pct:.4f} %",
     ]
     save_result(results_dir, "control.txt", "\n".join(lines))
-    with open(os.path.join(results_dir, "control.json"), "w") as handle:
-        json.dump({
-            "slo_attainment": round(autotuned.attainment, 4),
-            "baseline_attainment": round(static.attainment, 4),
-            "slo_ms": round(slo_ms, 3),
-            "energy_saved_pct": round(scenario_verdict.energy_saved_pct, 3),
-            "overhead_pct": round(overhead_pct, 5),
-        }, handle, indent=2)
-        handle.write("\n")
 
     # acceptance: the disabled loop is free (< 2% of request latency)
     assert overhead_pct < 2.0, (

@@ -11,11 +11,8 @@ with >= 4 CPUs; a single-core container cannot run four forward passes
 at once no matter how the work is sharded, so the whole benchmark
 skips there.  Responses must be bitwise identical across fleet sizes —
 sharding is a deployment knob, never an accuracy knob.
-
-Machine-readable metrics land in ``results/fleet.json``.
 """
 
-import json
 import os
 import time
 
@@ -101,22 +98,6 @@ def test_bench_fleet(results_dir):
         np.testing.assert_array_equal(logits[0], other)
 
     cpus = os.cpu_count() or 1
-    payload = {
-        "schema": 1,
-        "network": NETWORK,
-        "precision": PRECISION,
-        "requests": N_REQUESTS,
-        "cpu_count": cpus,
-        "tput_1_ips": round(tput_1, 2),
-        "tput_4_ips": round(tput_4, 2),
-        "speedup": round(speedup, 4),
-        "p99_1_ms": round(report_1.latency_ms_p99, 3),
-        "p99_4_ms": round(report_4.latency_ms_p99, 3),
-    }
-    with open(os.path.join(results_dir, "fleet.json"), "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
     lines = [
         f"Fleet scaling: {NETWORK} at {PRECISION}, {N_REQUESTS} requests, "
         f"concurrency {CONCURRENCY} ({cpus} CPUs)",

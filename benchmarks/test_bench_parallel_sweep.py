@@ -9,12 +9,9 @@ The >= 2x speedup claim is asserted only on hosts with >= 4 CPUs;
 single-core containers still run the determinism and cache-resume
 checks but skip the timing assertion (process parallelism cannot beat
 the sequential path without cores to run on).
-
-Machine-readable metrics land in ``results/parallel_sweep.json``.
 """
 
 import functools
-import json
 import os
 import time
 
@@ -70,21 +67,6 @@ def test_bench_parallel_sweep(results_dir, tmp_path):
 
     speedup = t_seq / t_par
     cpus = os.cpu_count() or 1
-    payload = {
-        "schema": 1,
-        "network": NETWORK,
-        "points": len(SPECS),
-        "workers": WORKERS,
-        "cpu_count": cpus,
-        "t_seq_s": round(t_seq, 4),
-        "t_par_s": round(t_par, 4),
-        "t_warm_s": round(t_warm, 4),
-        "speedup": round(speedup, 4),
-        "cache_hit_rate": round(warm.hit_rate, 4),
-    }
-    with open(os.path.join(results_dir, "parallel_sweep.json"), "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
     lines = [
         f"Parallel sweep: {NETWORK} on digits, {len(SPECS)} precision "

@@ -3,12 +3,9 @@
 Runs one cold two-generation search on the tiny task, then replays it
 (``resume=True``) against the warm salted cache and asserts at least
 90% of evaluations are served without retraining and the frontiers are
-bitwise identical.  Machine-readable metrics land in
-``results/search.json``.
+bitwise identical.
 """
 
-import json
-import os
 import time
 
 from repro.core.sweep import SweepConfig
@@ -59,26 +56,12 @@ def test_bench_search(results_dir, tmp_path):
     )
     assert cold.dominates_fixed_grid
 
-    payload = {
-        "schema": 1,
-        "task": "lenet_small",
-        "evaluated": len(cold.evaluated),
-        "frontier": len(cold.frontier),
-        "dominating": len(cold.dominating),
-        "t_cold_s": round(t_cold, 4),
-        "t_warm_s": round(t_warm, 4),
-        "cache_hit_rate": round(hit_rate, 4),
-    }
-    with open(os.path.join(results_dir, "search.json"), "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
     save_result(results_dir, "search.txt", "\n".join([
         "Mixed-precision & width search benchmark (lenet_small, "
         f"budget {BUDGET_UJ:g} uJ)",
-        f"  evaluated          : {payload['evaluated']} candidates",
-        f"  frontier           : {payload['frontier']} point(s), "
-        f"{payload['dominating']} dominating the fixed grid",
+        f"  evaluated          : {len(cold.evaluated)} candidates",
+        f"  frontier           : {len(cold.frontier)} point(s), "
+        f"{len(cold.dominating)} dominating the fixed grid",
         f"  cold search        : {t_cold:.2f} s",
         f"  warm resume        : {t_warm:.2f} s",
         f"  warm cache hit rate: {100 * hit_rate:.0f}%",

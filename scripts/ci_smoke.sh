@@ -69,8 +69,9 @@ EOF
 }
 
 smoke_profile() {
-  echo "== smoke: energy/latency profiler"
+  echo "== smoke: energy/latency profiler (default and reference backends)"
   python -m repro profile --precision fixed8 --limit 64
+  python -m repro profile --backend reference --precision fixed8 --limit 16
 }
 
 smoke_kernels() {

@@ -4,7 +4,10 @@ A backend executes the fake-quant pipeline of a
 :class:`~repro.core.quantized.QuantizedNetwork` through the uniform
 :class:`~repro.backends.base.Backend` interface (``dense`` / ``conv`` /
 ``pool`` / ``act`` entry points plus whole-pipeline ``run`` /
-``predict``).  Two backends ship:
+``predict``).  ``run`` is the one loop over a pipeline's units; each
+backend brings only its per-unit step (a :class:`Walk`), and
+``run(..., observe=...)`` reports every unit's wall time.  Two backends
+ship:
 
 ``reference``
     Layer-by-layer numpy ``forward`` calls — the historical execution
@@ -23,7 +26,7 @@ the ``--backend`` flag on ``repro sweep`` / ``repro profile`` /
 to add a backend.
 """
 
-from repro.backends.base import Backend, Unit, compile_units
+from repro.backends.base import Backend, Unit, Walk, compile_units
 from repro.backends.fused import FusedBackend
 from repro.backends.reference import ReferenceBackend
 from repro.backends.registry import (
@@ -45,6 +48,7 @@ __all__ = [
     "FusedBackend",
     "ReferenceBackend",
     "Unit",
+    "Walk",
     "available",
     "compile_units",
     "get",

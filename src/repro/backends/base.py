@@ -5,8 +5,9 @@ A *backend* executes a quantized-inference pipeline (the
 built by :class:`~repro.core.quantized.QuantizedNetwork`).  All
 backends consume the same :func:`compile_units` plan — (layer,
 trailing activation-quantizer) pairs tagged with an operation kind —
-and differ only in how each unit is executed: the reference backend
-calls the layers' own ``forward`` methods, the fused backend runs
+and share the one loop that executes it, :meth:`Backend.run`.  They
+differ only in their per-unit step, :meth:`Walk.step`: the reference
+step calls the layers' own ``forward`` methods, the fused step runs
 single-pass kernels over reusable buffers, and future backends
 (threaded, integer-arithmetic, accelerator-sim-backed) slot in behind
 the same entry points without touching any caller.
@@ -15,8 +16,9 @@ the same entry points without touching any caller.
 from __future__ import annotations
 
 import abc
+import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,8 +29,9 @@ from repro.nn.dense import Dense, Flatten
 from repro.nn.module import Module
 from repro.nn.network import Sequential
 from repro.nn.pooling import AvgPool2D, MaxPool2D
+from repro.obs.tracer import get_tracer
 
-__all__ = ["Backend", "Unit", "compile_units"]
+__all__ = ["Backend", "Unit", "Walk", "compile_units"]
 
 #: Operation kinds a unit can carry.  ``other`` marks layers no fused
 #: kernel understands — every backend must still execute them (the
@@ -96,13 +99,38 @@ def compile_units(pipeline: Sequential) -> List[Unit]:
     return units
 
 
+class Walk:
+    """One eval-mode batch on its way through a pipeline's units.
+
+    ``x`` is the activation between units; :meth:`step` is the reference
+    step — the unit's layer ``forward``, then its trailing quant's.  A
+    backend that runs units its own way returns a subclass from
+    :meth:`Backend.walk`.
+    """
+
+    __slots__ = ("units", "x")
+
+    def __init__(self, units: Sequence[Unit], x: np.ndarray):
+        self.units = units
+        self.x = x
+
+    def step(self, unit: Unit) -> None:
+        x = unit.layer.forward(self.x)
+        self.x = x if unit.quant is None else unit.quant.forward(x)
+
+    def output(self) -> np.ndarray:
+        """The batch's logits, as an array the caller owns."""
+        return self.x
+
+
 class Backend(abc.ABC):
     """Executes quantized-inference pipelines.
 
-    Subclasses implement :meth:`run` plus the four per-operation entry
-    points (:meth:`dense` / :meth:`conv` / :meth:`pool` / :meth:`act`).
-    The entry points always return arrays the caller owns — never a
-    view of internal scratch memory — and must be bitwise-equal to the
+    Subclasses implement the four per-operation entry points
+    (:meth:`dense` / :meth:`conv` / :meth:`pool` / :meth:`act`) and may
+    override :meth:`walk` to execute units their own way.  The entry
+    points always return arrays the caller owns — never a view of
+    internal scratch memory — and must be bitwise-equal to the
     corresponding layer's ``forward`` in eval mode.
     """
 
@@ -131,9 +159,36 @@ class Backend(abc.ABC):
     # ------------------------------------------------------------------
     # Whole-pipeline execution
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def run(self, pipeline: Sequential, x: np.ndarray) -> np.ndarray:
-        """Forward one batch through ``pipeline`` (respects its mode)."""
+    def walk(self, pipeline: Sequential, x: np.ndarray) -> Walk:
+        """Start one eval-mode batch through ``pipeline``'s units."""
+        return Walk(compile_units(pipeline), x)
+
+    def run(
+        self,
+        pipeline: Sequential,
+        x: np.ndarray,
+        observe: Optional[Callable[[Unit, float], None]] = None,
+    ) -> np.ndarray:
+        """Forward one batch through ``pipeline`` (respects its mode).
+
+        In eval mode every unit goes through this backend's step, in
+        :func:`compile_units` order; ``observe(unit, seconds)``, when
+        given, receives each unit's wall time.
+        """
+        if pipeline.training:
+            # Trackers must observe and layers must cache backward
+            # state — the pipeline's own forward is the only correct path.
+            return pipeline.forward(x)
+        walk = self.walk(pipeline, np.asarray(x))
+        with get_tracer().span("kernels.run", backend=self.name):
+            for unit in walk.units:
+                if observe is None:
+                    walk.step(unit)
+                else:
+                    started = time.perf_counter()
+                    walk.step(unit)
+                    observe(unit, time.perf_counter() - started)
+            return walk.output()
 
     def predict(
         self, pipeline: Sequential, x: np.ndarray, batch_size: int = 128
@@ -142,9 +197,10 @@ class Backend(abc.ABC):
         was_training = pipeline.training
         pipeline.eval_mode()
         try:
+            # an empty input still runs one (empty) batch
             outputs = [
                 self.run(pipeline, x[i : i + batch_size])
-                for i in range(0, x.shape[0], batch_size)
+                for i in range(0, max(x.shape[0], 1), batch_size)
             ]
         finally:
             if was_training:

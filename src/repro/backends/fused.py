@@ -15,27 +15,27 @@ workers running the same frozen pipeline therefore never share a
 buffer, preserving the lock-free inference contract of
 ``QuantizedNetwork.freeze()``.
 
-Fallbacks (always safe, never silent — counted on
-``kernels.fused.fallback_units``):
+Fallbacks (always safe, never silent):
 
 - training mode runs the whole pipeline through ``Sequential.forward``
   (range trackers must observe, layers must cache backward state);
-- a layer with an instance-level ``forward`` wrapper (e.g. attached by
-  :class:`~repro.obs.hooks.LayerProfiler`) runs through that wrapper;
-- a quantizer the kernels cannot reproduce exactly (stochastic
-  rounding, custom subclass) runs through its own ``quantize``.
+- a unit whose kind has no kernel, or whose quantizer the kernels
+  cannot reproduce exactly (stochastic rounding, custom subclass),
+  takes the base step — the layer's and the quant's own ``forward``.
+  Which units fall back is fixed when the plan compiles; every batch
+  adds their number to ``kernels.fused.fallback_units``.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-import time
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.base import Backend, Unit, compile_units
+from repro.backends.base import Backend, Unit, Walk, compile_units
 from repro.core.fake_quant import FakeQuantLayer
 from repro.errors import ShapeError
 from repro.kernels.fused import (
@@ -49,6 +49,7 @@ from repro.kernels.fused import (
     to_nchw,
 )
 from repro.kernels.workspace import Workspace
+from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense
 from repro.nn.im2col import conv_output_size
@@ -56,7 +57,6 @@ from repro.nn.module import Module
 from repro.nn.network import Sequential
 from repro.nn.pooling import AvgPool2D, MaxPool2D
 from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer
 
 __all__ = ["FusedBackend"]
 
@@ -67,12 +67,17 @@ _FUSED_KINDS = frozenset({"dense", "conv", "maxpool", "avgpool", "act", "quant",
 class _Plan:
     """Compiled units + scratch workspace for one (pipeline, thread)."""
 
-    __slots__ = ("layer_ids", "units", "fusable", "workspace")
+    __slots__ = ("layer_ids", "units", "fusable", "fallbacks", "workspace")
 
     def __init__(self, pipeline: Sequential):
         self.layer_ids = tuple(id(layer) for layer in pipeline.layers)
         self.units: List[Unit] = compile_units(pipeline)
         self.fusable = tuple(_unit_fusable(unit) for unit in self.units)
+        #: indices of the units that take the base step instead of a kernel
+        self.fallbacks = frozenset(
+            unit.index for unit, fusable in zip(self.units, self.fusable)
+            if not fusable
+        )
         self.workspace = Workspace()
 
 
@@ -93,16 +98,132 @@ def _unit_fusable(unit: Unit) -> bool:
     return True
 
 
-def _wrapped(unit: Unit) -> bool:
-    """Instance-level ``forward`` (profiler hook) demands the real call."""
-    if "forward" in unit.layer.__dict__:
-        return True
-    return unit.quant is not None and "forward" in unit.quant.__dict__
-
-
 def _hint(quant: FakeQuantLayer) -> Optional[float]:
     tracker = quant.tracker
     return tracker.max_abs if tracker.initialized else None
+
+
+def _out_hw(layer: Module, x: np.ndarray, chwn: bool) -> Tuple[int, int]:
+    """Output (H, W) of a conv or pool ``layer`` on NCHW or CHWN ``x``."""
+    h, w = (x.shape[1], x.shape[2]) if chwn else (x.shape[2], x.shape[3])
+    ceil_mode = getattr(layer, "ceil_mode", False)
+    return (
+        conv_output_size(h, layer.kernel_size, layer.stride, layer.padding, ceil_mode),
+        conv_output_size(w, layer.kernel_size, layer.stride, layer.padding, ceil_mode),
+    )
+
+
+class _FusedWalk(Walk):
+    """One batch through a fused plan: a kernel per fusable unit, the
+    base step for the plan's fallbacks.
+
+    ``state`` is the ownership of ``x``: ``"user"`` (the caller's array
+    — never write, never copy), ``"fresh"`` (dead temporary from a base
+    step — writable, the caller may keep it) or ``"ws"`` (workspace
+    buffer — writable, copied out before returning, because the next
+    batch overwrites it).  ``chwn`` tracks whether ``x`` is in
+    channel-major (C, H, W, N) layout.
+    """
+
+    __slots__ = ("plan", "state", "chwn")
+
+    def __init__(self, plan: _Plan, x: np.ndarray):
+        super().__init__(plan.units, x)
+        self.plan = plan
+        self.state = "user"
+        self.chwn = False
+
+    def step(self, unit: Unit) -> None:
+        if unit.index not in self.plan.fallbacks:
+            self.x, self.state, self.chwn = _run_fused(
+                unit, self.x, self.plan.workspace, self.state, self.chwn
+            )
+            return
+        if self.chwn:
+            self.x = to_nchw(self.x, self.plan.workspace, ("fallback", unit.index))
+            self.chwn = False
+            self.state = "ws"
+        prev = self.x
+        super().step(unit)
+        # A forward that handed back the same array or a view (Flatten,
+        # identity quant) inherits prev's ownership; only a genuinely
+        # new allocation is a dead temporary.
+        if self.x is not prev and self.x.base is None:
+            self.state = "fresh"
+
+    def output(self) -> np.ndarray:
+        if self.chwn:
+            return to_nchw(self.x, self.plan.workspace, "final").copy()
+        return self.x.copy() if self.state == "ws" else self.x
+
+
+def _run_fused(
+    unit: Unit, x: np.ndarray, ws: Workspace, state: str, chwn: bool
+) -> Tuple[np.ndarray, str, bool]:
+    kind, layer, key = unit.kind, unit.layer, unit.index
+    writable = state != "user"
+    if kind == "dense":
+        if x.ndim != 2 or x.shape[1] != layer.in_features:
+            raise ShapeError(
+                f"{layer.name}: expected (N, {layer.in_features}) input, "
+                f"got {x.shape}"
+            )
+        bias = layer.bias.data if layer.bias is not None else None
+        out = fused_dense(x, layer.weight.data, bias, ws, key)
+        return _quant_tail(unit, out, ws, key), "ws", False
+    if kind == "conv":
+        in_c = x.shape[0] if chwn else (x.shape[1] if x.ndim == 4 else -1)
+        if x.ndim != 4 or in_c != layer.in_channels:
+            raise ShapeError(
+                f"{layer.name}: expected NCHW input with "
+                f"C={layer.in_channels}, got shape {x.shape}"
+            )
+        bias = layer.bias.data if layer.bias is not None else None
+        out = fused_conv2d(
+            x, layer.weight.data, bias, layer.stride, layer.padding,
+            *_out_hw(layer, x, chwn), ws, key, chwn_in=chwn,
+        )
+        return _quant_tail(unit, out, ws, key), "ws", True
+    if kind in ("maxpool", "avgpool"):
+        if x.ndim != 4:
+            raise ShapeError(
+                f"{layer.name}: expected NCHW input, got {x.shape}"
+            )
+        kernel_fn = fused_maxpool if kind == "maxpool" else fused_avgpool
+        out = kernel_fn(
+            x, layer.kernel_size, layer.stride, layer.padding,
+            *_out_hw(layer, x, chwn), ws, key, chwn=chwn,
+        )
+        return _quant_tail(unit, out, ws, key), "ws", chwn
+    if kind == "act":
+        quant = unit.quant.quantizer if unit.quant is not None else None
+        hint = _hint(unit.quant) if unit.quant is not None else None
+        out = fused_relu_quantize(quant, x, hint, ws, key, in_place=writable)
+        return out, (state if out is x else "ws"), chwn
+    if kind == "quant":
+        out = fused_quantize(
+            layer.quantizer, x, _hint(layer), ws, key, in_place=writable
+        )
+        return out, (state if out is x else "ws"), chwn
+    # reshape (Flatten)
+    if chwn:
+        c, h, w, n = x.shape
+        flat = ws.get((key, "flat"), (n, c * h * w), np.float32)
+        np.copyto(flat.reshape(n, c, h, w), x.transpose(3, 0, 1, 2))
+        return flat, "ws", False
+    # a plain view: ownership follows the input
+    return x.reshape(x.shape[0], math.prod(x.shape[1:])), state, False
+
+
+def _quant_tail(unit: Unit, out: np.ndarray, ws: Workspace, key: int) -> np.ndarray:
+    if unit.quant is None:
+        return out
+    # `out` is always this unit's own scratch buffer: quantize it where
+    # it sits
+    return fused_quantize(
+        unit.quant.quantizer, out, _hint(unit.quant), ws, (key, "post"),
+        in_place=True,
+    )
 
 
 class FusedBackend(Backend):
@@ -112,34 +233,19 @@ class FusedBackend(Backend):
 
     def __init__(self) -> None:
         self._local = threading.local()
-        #: When True, per-unit wall times accumulate for ``kernel_stats``
-        #: (used by ``repro profile --backend fused``); not thread-safe,
-        #: enable only for single-threaded profiling runs.
-        self.profiling = False
-        self._stats: Dict[Tuple[int, str], Dict[str, object]] = {}
-        self._stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Plans
     # ------------------------------------------------------------------
-    def _plans(self) -> "weakref.WeakKeyDictionary[Sequential, _Plan]":
-        try:
-            return self._local.plans
-        except AttributeError:
-            plans: "weakref.WeakKeyDictionary[Sequential, _Plan]" = (
-                weakref.WeakKeyDictionary()
-            )
-            self._local.plans = plans
-            return plans
-
     def _plan(self, pipeline: Sequential) -> _Plan:
-        plans = self._plans()
+        plans = getattr(self._local, "plans", None)
+        if plans is None:
+            plans = self._local.plans = weakref.WeakKeyDictionary()
         plan = plans.get(pipeline)
         if plan is None or plan.layer_ids != tuple(
             id(layer) for layer in pipeline.layers
         ):
-            plan = _Plan(pipeline)
-            plans[pipeline] = plan
+            plan = plans[pipeline] = _Plan(pipeline)
         return plan
 
     def workspace_for(self, pipeline: Sequential) -> Workspace:
@@ -149,137 +255,17 @@ class FusedBackend(Backend):
     # ------------------------------------------------------------------
     # Whole-pipeline execution
     # ------------------------------------------------------------------
-    def run(self, pipeline: Sequential, x: np.ndarray) -> np.ndarray:
-        if pipeline.training:
-            # Trackers must observe and layers must cache backward
-            # state — the reference path is the only correct one.
-            return pipeline.forward(x)
+    def walk(self, pipeline: Sequential, x: np.ndarray) -> Walk:
         plan = self._plan(pipeline)
         metrics = get_metrics()
-        with get_tracer().span("kernels.run", backend=self.name):
-            out, fallbacks = self._run_units(plan, np.asarray(x))
         metrics.counter("kernels.fused.batches").inc()
-        if fallbacks:
-            metrics.counter("kernels.fused.fallback_units").inc(fallbacks)
-        return out
+        if plan.fallbacks:
+            metrics.counter("kernels.fused.fallback_units").inc(len(plan.fallbacks))
+        return _FusedWalk(plan, x)
 
-    def _run_units(self, plan: _Plan, x: np.ndarray) -> Tuple[np.ndarray, int]:
-        ws = plan.workspace
-        profiling = self.profiling
-        fallbacks = 0
-        # Ownership state of x: "user" (caller's array — never write,
-        # never copy), "fresh" (dead temporary from a fallback forward
-        # — writable, caller may keep it), "ws" (workspace buffer —
-        # writable, must be copied out before returning, because the
-        # next batch overwrites it).  `chwn` tracks whether x is in
-        # channel-major (C, H, W, N) layout.
-        state = "user"
-        chwn = False
-        for unit, fusable in zip(plan.units, plan.fusable):
-            started = time.perf_counter() if profiling else 0.0
-            fused = fusable and not _wrapped(unit)
-            if not fused:
-                if chwn:
-                    x = to_nchw(x, ws, ("fallback", unit.index))
-                    chwn = False
-                    state = "ws"
-                prev = x
-                x = unit.layer.forward(x)
-                if unit.quant is not None:
-                    x = unit.quant.forward(x)
-                # A forward that handed back the same array or a view
-                # (Flatten, identity quant) inherits prev's ownership;
-                # only a genuinely new allocation is a dead temporary.
-                if x is not prev and x.base is None:
-                    state = "fresh"
-                fallbacks += 1
-            else:
-                x, state, chwn = self._run_fused(unit, x, ws, state, chwn)
-            if profiling:
-                self._record(unit, fused, time.perf_counter() - started)
-        if chwn:
-            x = to_nchw(x, ws, "final")
-            state = "ws"
-        return (x.copy() if state == "ws" else x), fallbacks
-
-    def _run_fused(
-        self, unit: Unit, x: np.ndarray, ws: Workspace, state: str, chwn: bool
-    ) -> Tuple[np.ndarray, str, bool]:
-        kind, layer, key = unit.kind, unit.layer, unit.index
-        writable = state != "user"
-        if kind == "dense":
-            if x.ndim != 2 or x.shape[1] != layer.in_features:
-                raise ShapeError(
-                    f"{layer.name}: expected (N, {layer.in_features}) input, "
-                    f"got {x.shape}"
-                )
-            bias = layer.bias.data if layer.bias is not None else None
-            out = fused_dense(x, layer.weight.data, bias, ws, key)
-            return self._quant_tail(unit, out, ws, key), "ws", False
-        if kind == "conv":
-            in_c = x.shape[0] if chwn else (x.shape[1] if x.ndim == 4 else -1)
-            if x.ndim != 4 or in_c != layer.in_channels:
-                raise ShapeError(
-                    f"{layer.name}: expected NCHW input with "
-                    f"C={layer.in_channels}, got shape {x.shape}"
-                )
-            h, w = (x.shape[1], x.shape[2]) if chwn else (x.shape[2], x.shape[3])
-            out_h = conv_output_size(h, layer.kernel_size, layer.stride, layer.padding)
-            out_w = conv_output_size(w, layer.kernel_size, layer.stride, layer.padding)
-            bias = layer.bias.data if layer.bias is not None else None
-            out = fused_conv2d(
-                x, layer.weight.data, bias, layer.stride, layer.padding,
-                out_h, out_w, ws, key, chwn_in=chwn,
-            )
-            return self._quant_tail(unit, out, ws, key), "ws", True
-        if kind in ("maxpool", "avgpool"):
-            if x.ndim != 4:
-                raise ShapeError(
-                    f"{layer.name}: expected NCHW input, got {x.shape}"
-                )
-            h, w = (x.shape[1], x.shape[2]) if chwn else (x.shape[2], x.shape[3])
-            out_h = conv_output_size(
-                h, layer.kernel_size, layer.stride, layer.padding, layer.ceil_mode
-            )
-            out_w = conv_output_size(
-                w, layer.kernel_size, layer.stride, layer.padding, layer.ceil_mode
-            )
-            kernel_fn = fused_maxpool if kind == "maxpool" else fused_avgpool
-            out = kernel_fn(
-                x, layer.kernel_size, layer.stride, layer.padding,
-                out_h, out_w, ws, key, chwn=chwn,
-            )
-            return self._quant_tail(unit, out, ws, key), "ws", chwn
-        if kind == "act":
-            quant = unit.quant.quantizer if unit.quant is not None else None
-            hint = _hint(unit.quant) if unit.quant is not None else None
-            out = fused_relu_quantize(quant, x, hint, ws, key, in_place=writable)
-            return out, (state if out is x else "ws"), chwn
-        if kind == "quant":
-            out = fused_quantize(
-                layer.quantizer, x, _hint(layer), ws, key, in_place=writable
-            )
-            return out, (state if out is x else "ws"), chwn
-        # reshape (Flatten)
-        if chwn:
-            c, h, w, n = x.shape
-            flat = ws.get((key, "flat"), (n, c * h * w), np.float32)
-            np.copyto(flat.reshape(n, c, h, w), x.transpose(3, 0, 1, 2))
-            return flat, "ws", False
-        # a plain view: ownership follows the input
-        return x.reshape(x.shape[0], -1), state, False
-
-    def _quant_tail(
-        self, unit: Unit, out: np.ndarray, ws: Workspace, key: int
-    ) -> np.ndarray:
-        if unit.quant is None:
-            return out
-        # `out` is always this unit's own scratch buffer: quantize it
-        # where it sits
-        return fused_quantize(
-            unit.quant.quantizer, out, _hint(unit.quant), ws, (key, "post"),
-            in_place=True,
-        )
+    # The base walk, bound here so the class owns a ``run`` of its own:
+    # perfbench/layers.py traces ``FusedBackend.__dict__["run"]``.
+    run = Backend.run
 
     # ------------------------------------------------------------------
     # Per-operation entry points (each returns a caller-owned array)
@@ -300,71 +286,23 @@ class FusedBackend(Backend):
     def conv(self, layer: Conv2D, x: np.ndarray) -> np.ndarray:
         if type(layer) is not Conv2D:
             return layer.forward(x)
-        out_h = conv_output_size(
-            x.shape[2], layer.kernel_size, layer.stride, layer.padding
-        )
-        out_w = conv_output_size(
-            x.shape[3], layer.kernel_size, layer.stride, layer.padding
-        )
         bias = layer.bias.data if layer.bias is not None else None
         out = fused_conv2d(
             x, layer.weight.data, bias, layer.stride, layer.padding,
-            out_h, out_w, self._scratch(), "conv",
+            *_out_hw(layer, x, False), self._scratch(), "conv",
         )
         return out.transpose(3, 0, 1, 2).copy()
 
     def pool(self, layer: Module, x: np.ndarray) -> np.ndarray:
         if type(layer) not in (MaxPool2D, AvgPool2D):
             return layer.forward(x)
-        out_h = conv_output_size(
-            x.shape[2], layer.kernel_size, layer.stride, layer.padding,
-            layer.ceil_mode,
-        )
-        out_w = conv_output_size(
-            x.shape[3], layer.kernel_size, layer.stride, layer.padding,
-            layer.ceil_mode,
-        )
         kernel_fn = fused_maxpool if type(layer) is MaxPool2D else fused_avgpool
         return kernel_fn(
             x, layer.kernel_size, layer.stride, layer.padding,
-            out_h, out_w, self._scratch(), "pool",
+            *_out_hw(layer, x, False), self._scratch(), "pool",
         ).copy()
 
     def act(self, layer: Module, x: np.ndarray) -> np.ndarray:
-        from repro.nn.activations import ReLU
-
         if type(layer) is not ReLU:
             return layer.forward(x)
         return fused_relu_quantize(None, x, None, self._scratch(), "act").copy()
-
-    # ------------------------------------------------------------------
-    # Profiling support (repro profile --backend fused)
-    # ------------------------------------------------------------------
-    def _record(self, unit: Unit, fused: bool, elapsed: float) -> None:
-        label = unit.layer.name
-        if unit.quant is not None:
-            label += f"+{unit.quant.name}"
-        with self._stats_lock:
-            entry = self._stats.get((unit.index, label))
-            if entry is None:
-                entry = {
-                    "index": unit.index,
-                    "unit": label,
-                    "kind": unit.kind,
-                    "fused": fused,
-                    "calls": 0,
-                    "seconds": 0.0,
-                }
-                self._stats[(unit.index, label)] = entry
-            entry["calls"] += 1
-            entry["seconds"] += elapsed
-            entry["fused"] = entry["fused"] and fused
-
-    def kernel_stats(self) -> List[Dict[str, object]]:
-        """Per-unit timing rows collected while ``profiling`` was True."""
-        with self._stats_lock:
-            return [dict(entry) for _, entry in sorted(self._stats.items())]
-
-    def reset_stats(self) -> None:
-        with self._stats_lock:
-            self._stats.clear()

@@ -18,11 +18,12 @@ Commands:
     Closed-loop load test of the batched inference server: throughput,
     latency percentiles, batch-size histogram and modeled energy.
 ``profile``
-    Per-layer profile of quantized inference: forward time, FLOPs,
-    bytes moved through the accelerator buffers and weight
-    quantization RMS error for one (network, precision) point.
-    ``--sim`` appends the cycle-level simulated view (utilization,
-    stall breakdown, energy).
+    Per-unit profile of quantized inference on the selected backend:
+    forward time, FLOPs, bytes moved through the accelerator buffers
+    and weight quantization RMS error for one (network, precision)
+    point, gated bitwise against the reference backend.  ``--sim``
+    appends the cycle-level simulated view (utilization, stall
+    breakdown, energy).
 ``simulate``
     Event-driven cycle-level accelerator simulation (``repro.hw.sim``):
     cycles, utilization %, stall breakdown by cause, per-image energy,
@@ -731,6 +732,7 @@ def _serve_bench_fleet(
 
 def cmd_profile(args: argparse.Namespace) -> int:
     backend_name = _apply_backend(args)
+    impl = backends.get(backend_name)
     info = network_info(args.network)
     spec = core.PrecisionSpec.parse(args.precision)
     limit = max(args.limit, 1)
@@ -746,39 +748,70 @@ def cmd_profile(args: argparse.Namespace) -> int:
     qnet = core.QuantizedNetwork(network, spec)
     qnet.calibrate(split.train.images[: args.calibration])
     # RMS error must be measured while full-precision weights are
-    # resident, i.e. before the profiled (swapped) forward pass.
-    quant_errors = qnet.weight_quantization_errors()
+    # resident, i.e. before the quantized weights are swapped in.
+    quant_rms = {
+        name.rsplit(".", 1)[0]: err
+        for name, err in qnet.weight_quantization_errors().items()
+    }
 
-    profiler = obs.LayerProfiler(
-        qnet.pipeline,
-        weight_bits=spec.weight_bits,
-        activation_bits=spec.input_bits,
-        metrics=obs.get_metrics(),
-    )
-    with profiler:
-        # under the profiler every layer carries an instance-level
-        # forward wrapper, so any backend degrades to per-unit reference
-        # calls here — the layer table always measures the real layers
-        logits = qnet.predict(images)
-    profiler.annotate(
-        "quant_rms",
-        {name.rsplit(".", 1)[0]: err for name, err in quant_errors.items()},
+    pipeline = qnet.pipeline
+    metrics = obs.get_metrics()
+    timed = []
+
+    def observe(unit: backends.Unit, seconds: float) -> None:
+        timed.append((unit.index, seconds))
+        metrics.histogram(f"profile.forward_ms.{unit.layer.name}").observe(
+            seconds * 1e3
+        )
+
+    # the timed pass splits the images as `predict` does
+    batches = [images[i : i + 128] for i in range(0, images.shape[0], 128)]
+    with qnet.quantized_weights():
+        logits = np.concatenate(
+            [impl.run(pipeline, batch, observe=observe) for batch in batches]
+        )
+
+    # One row per unit: its forward times from `observe`; FLOPs and
+    # bytes from the layer models over its layer and trailing quant,
+    # batch by batch.
+    layer_rows, shape = [], tuple(images.shape[1:])
+    for unit in backends.compile_units(pipeline):
+        times = [seconds for index, seconds in timed if index == unit.index]
+        row = {
+            "name": unit.layer.name,
+            "layer_type": type(unit.layer).__name__,
+            "kind": unit.kind,
+            "quant": unit.quant.name if unit.quant is not None else None,
+            "calls": len(times),
+            "forward_s": sum(times),
+            "flops": 0,
+            "bytes_moved": 0,
+        }
+        for layer in (unit.layer, unit.quant):
+            if layer is None:
+                continue
+            for batch in batches:
+                row["flops"] += obs.layer_flops(layer, shape, len(batch))
+                row["bytes_moved"] += obs.layer_bytes(
+                    layer, shape, len(batch),
+                    weight_bits=spec.weight_bits,
+                    activation_bits=spec.input_bits,
+                )
+            shape = layer.output_shape(shape)
+        if unit.layer.name in quant_rms:
+            row["quant_rms"] = quant_rms[unit.layer.name]
+        layer_rows.append(row)
+    total_s, total_flops, total_bytes = (
+        sum(row[key] for row in layer_rows)
+        for key in ("forward_s", "flops", "bytes_moved")
     )
 
-    # Fused-kernel view: a second, unwrapped pass on the selected
-    # backend, timed per unit, plus a bitwise parity gate against the
-    # profiled (reference-path) logits.
-    impl = backends.get(backend_name)
-    kernel_rows = parity_ok = None
-    if isinstance(impl, backends.FusedBackend):
-        impl.reset_stats()
-        impl.profiling = True
-        try:
-            fused_logits = qnet.infer(images, backend=impl)
-        finally:
-            impl.profiling = False
-        kernel_rows = impl.kernel_stats()
-        parity_ok = fused_logits.tobytes() == logits.tobytes()
+    # Any backend but the reference is gated bitwise against an
+    # untimed reference pass.
+    parity_ok = None
+    if impl.name != "reference":
+        reference = qnet.infer(images, backend="reference")
+        parity_ok = reference.tobytes() == logits.tobytes()
 
     test_accuracy = nn.accuracy(logits, split.test.labels[:limit])
     sim_report = None
@@ -794,14 +827,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "backend": backend_name,
             "images": int(images.shape[0]),
             "accuracy": float(test_accuracy),
-            "total_flops": profiler.total_flops(),
-            "total_bytes": profiler.total_bytes(),
-            "layers": [stats.as_dict() for stats in profiler.stats()],
-            "metrics": obs.get_metrics().snapshot(),
+            "total_flops": total_flops,
+            "total_bytes": total_bytes,
+            "layers": layer_rows,
+            "metrics": metrics.snapshot(),
         }
-        if kernel_rows is not None:
-            payload["kernels"] = kernel_rows
-            payload["kernels_parity"] = bool(parity_ok)
+        if parity_ok is not None:
+            payload["kernels_parity"] = parity_ok
         if sim_report is not None:
             payload["sim"] = sim_report.as_dict()
         print(json.dumps(payload, indent=2))
@@ -811,26 +843,23 @@ def cmd_profile(args: argparse.Namespace) -> int:
           f"{images.shape[0]} images "
           f"(accuracy {100 * test_accuracy:.2f}%, {backend_name} backend)")
     print()
-    print(profiler.table())
-    if kernel_rows is not None:
-        total_s = sum(row["seconds"] for row in kernel_rows) or 1.0
-        print()
-        print(format_table(
-            ["Unit", "Kind", "Fused", "Calls", "Time ms", "%"],
-            [
-                [
-                    row["unit"],
-                    row["kind"],
-                    "yes" if row["fused"] else "fallback",
-                    row["calls"],
-                    f"{1e3 * row['seconds']:.2f}",
-                    f"{100 * row['seconds'] / total_s:.1f}",
-                ]
-                for row in kernel_rows
-            ],
-            title=f"fused kernels ({backend_name} backend)",
-        ))
-        print(f"fused vs reference logits: "
+    table = [
+        [row["name"], row["kind"], f"{row['forward_s'] * 1e3:.2f}",
+         f"{100 * row['forward_s'] / (total_s or 1.0):.1f}%",
+         f"{row['flops'] / 1e6:.3f}", f"{row['bytes_moved'] / 1024:.1f}",
+         f"{row['quant_rms']:.5f}" if "quant_rms" in row else "-"]
+        for row in layer_rows
+    ]
+    table.append(["TOTAL", "", f"{total_s * 1e3:.2f}", "100.0%",
+                  f"{total_flops / 1e6:.3f}", f"{total_bytes / 1024:.1f}", ""])
+    print(format_table(
+        ["unit", "kind", "fwd ms", "share", "MFLOPs", "KB moved", "quant_rms"],
+        table,
+        title=f"per-layer forward pass, one row per unit "
+              f"({backend_name} backend)",
+    ))
+    if parity_ok is not None:
+        print(f"{backend_name} vs reference logits: "
               f"{'bitwise equal' if parity_ok else 'MISMATCH'}")
     if sim_report is not None:
         print()
@@ -1467,9 +1496,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="append the cycle-level simulation view "
                               "(cycles, utilization, stall breakdown)")
     profile.add_argument("--backend", default="",
-                         help="compute backend; with fused, appends the "
-                              "per-unit kernel table and a bitwise "
-                              "parity gate against the reference path")
+                         help="compute backend to time; any backend but "
+                              "reference is also gated bitwise against "
+                              "a reference pass")
     profile.set_defaults(func=cmd_profile)
 
     simulate = sub.add_parser(

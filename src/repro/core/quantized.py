@@ -20,8 +20,7 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-import warnings
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -41,21 +40,6 @@ from repro.nn.module import Module
 from repro.nn.network import Sequential
 from repro.nn.pooling import MaxPool2D
 from repro.nn.tensor import Parameter
-
-
-_DEPRECATION_WARNED: Set[str] = set()
-
-
-def _warn_once(name: str, alternative: str) -> None:
-    """Emit one DeprecationWarning per deprecated entry point per process."""
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"QuantizedNetwork.{name}() is deprecated; use {alternative} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def _resolve_backend(backend: Union["Backend", str, None]) -> "Backend":
@@ -187,18 +171,6 @@ class QuantizedNetwork:
             for param in self._weight_params + self._bias_params:
                 param.data[...] = self._shadow[id(param)]
             self._shadow = None
-
-    def swap_in_quantized(self) -> None:
-        """Deprecated: use the :meth:`quantized_weights` context manager
-        (or :meth:`freeze` for concurrent inference) instead of a raw
-        swap-in/restore pair.  Warns once per process, then swaps."""
-        _warn_once("swap_in_quantized", "the quantized_weights() context manager")
-        self._swap_in_quantized()
-
-    def restore_shadow(self) -> None:
-        """Deprecated counterpart of :meth:`swap_in_quantized`."""
-        _warn_once("restore_shadow", "the quantized_weights() context manager")
-        self._restore_shadow()
 
     @contextlib.contextmanager
     def quantized_weights(self):
@@ -363,10 +335,11 @@ class FrozenQuantizedNetwork:
     def predict(self, images: np.ndarray, batch_size: int = 128) -> np.ndarray:
         """Batched quantized inference logits (thread-safe)."""
         self._check_active()
+        # an empty input still runs one (empty) batch
         return np.concatenate(
             [
                 self.forward(images[start : start + batch_size])
-                for start in range(0, images.shape[0], batch_size)
+                for start in range(0, max(images.shape[0], 1), batch_size)
             ],
             axis=0,
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,8 @@ class Flatten(Module):
             # Cached only for backward; writing it in eval mode would let
             # concurrent frozen-network forwards race on shared state.
             self._cache_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        # the explicit feature count keeps an empty batch reshapeable
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache_shape is None:

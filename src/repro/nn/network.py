@@ -55,9 +55,10 @@ class Sequential(Module):
         was_training = self.training
         self.eval_mode()
         try:
+            # an empty input still runs one (empty) batch
             outputs = [
                 self.forward(x[i : i + batch_size])
-                for i in range(0, x.shape[0], batch_size)
+                for i in range(0, max(x.shape[0], 1), batch_size)
             ]
         finally:
             if was_training:

@@ -17,10 +17,11 @@ reproduction observable at runtime the same way:
     ``core.PrecisionSweep``, ``experiments.SweepRunner`` and
     ``repro.serve``, so one snapshot shows the whole stack.
 
-``LayerProfiler`` / ``layer_flops`` / ``layer_bytes``
-    Per-layer forward/backward timing plus FLOP and byte-traffic
-    accounting, attached to ``nn.Module`` instances without touching
-    their classes.  Powers ``python -m repro profile``.
+``layer_flops`` / ``layer_bytes``
+    Per-layer FLOP and byte-traffic models.  ``python -m repro
+    profile`` prices every unit a backend walks with them, next to the
+    unit's forward time from the ``observe`` hook of
+    :meth:`repro.backends.Backend.run`.
 
 ``JsonlSink`` / ``ConsoleTableSink``
     Pluggable span sinks: structured JSONL event files and aligned
@@ -45,13 +46,7 @@ from repro.obs.metrics import (
     set_metrics,
 )
 from repro.obs.sinks import ConsoleTableSink, JsonlSink, Sink
-from repro.obs.hooks import (
-    LayerProfiler,
-    LayerStats,
-    ProgressNarrator,
-    layer_bytes,
-    layer_flops,
-)
+from repro.obs.hooks import ProgressNarrator, layer_bytes, layer_flops
 
 __all__ = [
     "Tracer",
@@ -67,8 +62,6 @@ __all__ = [
     "Sink",
     "JsonlSink",
     "ConsoleTableSink",
-    "LayerProfiler",
-    "LayerStats",
     "ProgressNarrator",
     "layer_flops",
     "layer_bytes",

@@ -1,14 +1,12 @@
-"""Per-layer forward/backward timing and FLOP / byte-traffic hooks.
+"""Per-layer FLOP / byte-traffic models and progress narration.
 
-:class:`LayerProfiler` instruments the layers of a
-:class:`repro.nn.Sequential` (or any object with a ``layers`` list of
-``Module``-like objects) by wrapping each layer's bound ``forward`` /
-``backward`` on the *instance*, so the network's class and every other
-network stay untouched and detaching restores the original methods
-exactly.  Everything here duck-types against the ``Module`` interface
-(``forward``/``backward``/``macs``/``output_shape``/``parameters``),
-which keeps this module free of imports from ``repro.nn`` and usable
-on quantized pipelines and plain networks alike.
+:func:`layer_flops` and :func:`layer_bytes` price one layer of a
+:class:`repro.nn.Sequential` (or a quantized pipeline) for a batch.
+``repro profile`` sums them over each unit a backend walks, next to
+the unit's measured forward time from the ``observe`` hook of
+:meth:`repro.backends.Backend.run`.  Both duck-type against the
+``Module`` interface (``macs``/``output_shape``/``parameters``), which
+keeps this module free of imports from ``repro.nn``.
 
 Cost accounting follows the paper's accelerator view of a layer:
 
@@ -25,20 +23,11 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-
-__all__ = [
-    "LayerStats",
-    "LayerProfiler",
-    "ProgressNarrator",
-    "layer_flops",
-    "layer_bytes",
-]
+__all__ = ["ProgressNarrator", "layer_flops", "layer_bytes"]
 
 
 class ProgressNarrator:
@@ -147,227 +136,3 @@ def layer_bytes(
     activation_bytes = (in_elems + out_elems) * activation_bits / 8.0
     weight_bytes = param_elems * weight_bits / 8.0
     return int(activation_bytes + weight_bytes)
-
-
-@dataclass
-class LayerStats:
-    """Accumulated profile for one layer."""
-
-    name: str
-    layer_type: str
-    calls: int = 0
-    forward_s: float = 0.0
-    backward_calls: int = 0
-    backward_s: float = 0.0
-    flops: int = 0
-    bytes_moved: int = 0
-    samples: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total_s(self) -> float:
-        return self.forward_s + self.backward_s
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "layer_type": self.layer_type,
-            "calls": self.calls,
-            "forward_s": self.forward_s,
-            "backward_calls": self.backward_calls,
-            "backward_s": self.backward_s,
-            "flops": self.flops,
-            "bytes_moved": self.bytes_moved,
-            "samples": self.samples,
-            **self.extra,
-        }
-
-
-class LayerProfiler:
-    """Attach timing + traffic instrumentation to a layered network.
-
-    Use as a context manager around the forward/backward passes to
-    profile::
-
-        with LayerProfiler(net, weight_bits=8, activation_bits=8) as prof:
-            net.predict(images)
-        print(prof.table())
-
-    Args:
-        network: object with a ``layers`` sequence of Module-like
-            layers (``Sequential`` or a quantized pipeline).
-        weight_bits / activation_bits: bit-widths used for the
-            byte-traffic model (pass the profiled precision's widths).
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            when given, per-layer forward times feed histograms named
-            ``profile.forward_ms.<layer>``.
-    """
-
-    def __init__(
-        self,
-        network: object,
-        weight_bits: int = 32,
-        activation_bits: int = 32,
-        metrics: Optional[object] = None,
-    ):
-        layers = getattr(network, "layers", None)
-        if not layers:
-            raise ConfigurationError(
-                "LayerProfiler needs a network with a non-empty 'layers' list"
-            )
-        self.network = network
-        self.weight_bits = weight_bits
-        self.activation_bits = activation_bits
-        self.metrics = metrics
-        self._stats: Dict[int, LayerStats] = {}
-        self._originals: Dict[int, Dict[str, object]] = {}
-        self._attached = False
-
-    # ------------------------------------------------------------------
-    def attach(self) -> "LayerProfiler":
-        """Wrap every layer's forward/backward with timing shims."""
-        if self._attached:
-            raise ConfigurationError("profiler already attached")
-        for layer in self.network.layers:
-            key = id(layer)
-            self._stats[key] = LayerStats(
-                name=layer.name, layer_type=type(layer).__name__
-            )
-            self._originals[key] = {
-                "forward": layer.__dict__.get("forward"),
-                "backward": layer.__dict__.get("backward"),
-            }
-            layer.forward = self._timed_forward(layer, layer.forward)
-            layer.backward = self._timed_backward(layer, layer.backward)
-        self._attached = True
-        return self
-
-    def detach(self) -> None:
-        """Restore the original bound methods exactly."""
-        if not self._attached:
-            return
-        for layer in self.network.layers:
-            originals = self._originals.get(id(layer))
-            if originals is None:
-                continue
-            # Deleting the instance attribute re-exposes the class method;
-            # an original that was itself instance-level (e.g. a stacked
-            # profiler) is put back verbatim.
-            for method in ("forward", "backward"):
-                try:
-                    delattr(layer, method)
-                except AttributeError:
-                    pass
-                if originals[method] is not None:
-                    setattr(layer, method, originals[method])
-        self._attached = False
-
-    def __enter__(self) -> "LayerProfiler":
-        return self.attach()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.detach()
-
-    # ------------------------------------------------------------------
-    def _timed_forward(self, layer: object, original):
-        stats = self._stats[id(layer)]
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            start = time.perf_counter()
-            out = original(x)
-            elapsed = time.perf_counter() - start
-            batch = int(x.shape[0]) if getattr(x, "ndim", 0) else 1
-            input_shape = tuple(x.shape[1:])
-            stats.calls += 1
-            stats.samples += batch
-            stats.forward_s += elapsed
-            try:
-                stats.flops += layer_flops(layer, input_shape, batch)
-                stats.bytes_moved += layer_bytes(
-                    layer, input_shape, batch,
-                    weight_bits=self.weight_bits,
-                    activation_bits=self.activation_bits,
-                )
-            except Exception:
-                pass  # shape-introspection failures must never break forward
-            if self.metrics is not None:
-                self.metrics.histogram(
-                    f"profile.forward_ms.{stats.name}"
-                ).observe(elapsed * 1e3)
-            return out
-
-        return forward
-
-    def _timed_backward(self, layer: object, original):
-        stats = self._stats[id(layer)]
-
-        def backward(grad_out: np.ndarray) -> np.ndarray:
-            start = time.perf_counter()
-            grad_in = original(grad_out)
-            stats.backward_s += time.perf_counter() - start
-            stats.backward_calls += 1
-            return grad_in
-
-        return backward
-
-    # ------------------------------------------------------------------
-    def stats(self) -> List[LayerStats]:
-        """Per-layer stats in network order."""
-        return [self._stats[id(layer)] for layer in self.network.layers]
-
-    def annotate(self, name: str, values: Dict[str, float]) -> None:
-        """Attach an extra per-layer column (e.g. quantization RMS)."""
-        for stats in self._stats.values():
-            if stats.name in values:
-                stats.extra[name] = values[stats.name]
-
-    def total_flops(self) -> int:
-        return sum(s.flops for s in self._stats.values())
-
-    def total_bytes(self) -> int:
-        return sum(s.bytes_moved for s in self._stats.values())
-
-    def table(self, extra_columns: Optional[List[str]] = None) -> str:
-        """Aligned per-layer text table (the ``repro profile`` output)."""
-        columns = ["layer", "type", "calls", "fwd ms", "bwd ms",
-                   "MFLOPs", "KB moved"]
-        extra_columns = extra_columns or sorted(
-            {key for s in self._stats.values() for key in s.extra}
-        )
-        columns += extra_columns
-        rows = []
-        for stats in self.stats():
-            row = [
-                stats.name,
-                stats.layer_type,
-                str(stats.calls),
-                f"{stats.forward_s * 1e3:.2f}",
-                f"{stats.backward_s * 1e3:.2f}" if stats.backward_calls else "-",
-                f"{stats.flops / 1e6:.3f}",
-                f"{stats.bytes_moved / 1024:.1f}",
-            ]
-            for key in extra_columns:
-                value = stats.extra.get(key)
-                row.append("-" if value is None else f"{value:.5f}")
-            rows.append(row)
-        totals = [
-            "TOTAL", "", "",
-            f"{sum(s.forward_s for s in self._stats.values()) * 1e3:.2f}",
-            f"{sum(s.backward_s for s in self._stats.values()) * 1e3:.2f}",
-            f"{self.total_flops() / 1e6:.3f}",
-            f"{self.total_bytes() / 1024:.1f}",
-        ] + ["" for _ in extra_columns]
-        rows.append(totals)
-        widths = [
-            max([len(columns[i])] + [len(row[i]) for row in rows])
-            for i in range(len(columns))
-        ]
-        lines = [
-            "  ".join(columns[i].ljust(widths[i]) for i in range(len(columns))),
-            "  ".join("-" * w for w in widths),
-        ]
-        lines += [
-            "  ".join(row[i].ljust(widths[i]) for i in range(len(columns)))
-            for row in rows
-        ]
-        return "\n".join(lines)

@@ -1,7 +1,5 @@
 """QuantizedNetwork wrapper tests."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -57,24 +55,6 @@ def test_double_swap_raises(qnet):
 def test_restore_without_swap_raises(qnet):
     with pytest.raises(ConfigurationError):
         qnet._restore_shadow()
-
-
-def test_public_swap_shims_warn_once_and_still_work(qnet):
-    from repro.core import quantized as quantized_module
-
-    originals = [p.data.copy() for p in qnet.network.parameters()]
-    quantized_module._DEPRECATION_WARNED.clear()
-    with pytest.warns(DeprecationWarning, match="quantized_weights"):
-        qnet.swap_in_quantized()
-    with pytest.warns(DeprecationWarning, match="quantized_weights"):
-        qnet.restore_shadow()
-    for p, orig in zip(qnet.network.parameters(), originals):
-        assert np.array_equal(p.data, orig)
-    # second use is silent: the warning fires once per entry point
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        qnet.swap_in_quantized()
-        qnet.restore_shadow()
 
 
 def test_context_manager_restores_on_exception(qnet):

@@ -1,11 +1,10 @@
-"""FLOP / byte-traffic models and the layer profiler."""
+"""FLOP / byte-traffic models."""
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.errors import ConfigurationError
-from repro.obs import LayerProfiler, MetricsRegistry, layer_bytes, layer_flops
+from repro.obs import layer_bytes, layer_flops
 from tests.conftest import make_tiny_cnn
 
 
@@ -48,96 +47,14 @@ def test_dense_bytes_match_hand_count():
                        weight_bits=32, activation_bits=32) == 4 * (7 + 15)
 
 
-def test_profiler_counts_forward_work():
-    network = make_tiny_cnn()
-    network.eval_mode()
-    images = np.random.default_rng(0).standard_normal(
-        (6, 1, 28, 28)
-    ).astype(np.float32)
-    with LayerProfiler(network) as profiler:
-        network.forward(images)
-    stats = {s.name: s for s in profiler.stats()}
-    assert set(stats) == {layer.name for layer in network.layers}
-    conv1 = stats["conv1"]
-    assert conv1.calls == 1
-    assert conv1.samples == 6
-    assert conv1.forward_s > 0.0
-    assert conv1.flops == 2 * network.layers[0].macs((1, 28, 28)) * 6
-    assert profiler.total_flops() == sum(s.flops for s in profiler.stats())
-    assert profiler.total_bytes() > 0
-
-
-def test_profiler_detach_restores_methods():
-    network = make_tiny_cnn()
-    profiler = LayerProfiler(network)
-    profiler.attach()
-    assert "forward" in network.layers[0].__dict__
-    profiler.detach()
-    for layer in network.layers:
-        assert "forward" not in layer.__dict__
-        assert "backward" not in layer.__dict__
-    # detaching twice is harmless
-    profiler.detach()
-
-
-def test_profiler_times_backward_in_training():
-    network = make_tiny_cnn()
-    rng = np.random.default_rng(0)
-    images = rng.standard_normal((4, 1, 28, 28)).astype(np.float32)
-    network.train_mode()
-    with LayerProfiler(network) as profiler:
-        logits = network.forward(images)
-        network.backward(np.ones_like(logits))
-    for stats in profiler.stats():
-        assert stats.backward_calls == 1
-        assert stats.backward_s >= 0.0
-
-
-def test_profiler_rejects_layerless_object():
-    with pytest.raises(ConfigurationError):
-        LayerProfiler(object())
-    with pytest.raises(ConfigurationError):
-        LayerProfiler(make_tiny_cnn()).attach().attach()
-
-
-def test_annotate_adds_extra_column():
-    network = make_tiny_cnn()
-    network.eval_mode()
-    images = np.zeros((1, 1, 28, 28), dtype=np.float32)
-    with LayerProfiler(network) as profiler:
-        network.forward(images)
-    profiler.annotate("quant_rms", {"conv1": 0.0123, "ip1": 0.0456})
-    stats = {s.name: s for s in profiler.stats()}
-    assert stats["conv1"].extra["quant_rms"] == 0.0123
-    assert "quant_rms" not in stats["relu1"].extra
-    table = profiler.table()
-    assert "quant_rms" in table
-    assert "0.01230" in table
-    assert "TOTAL" in table
-    assert stats["conv1"].as_dict()["quant_rms"] == 0.0123
-
-
-def test_profiler_feeds_metrics_registry():
-    registry = MetricsRegistry()
-    network = make_tiny_cnn()
-    network.eval_mode()
-    images = np.zeros((2, 1, 28, 28), dtype=np.float32)
-    with LayerProfiler(network, metrics=registry) as profiler:
-        network.forward(images)
-        network.forward(images)
-    snap = registry.snapshot()
-    assert snap["histograms"]["profile.forward_ms.conv1"]["count"] == 2
-    assert profiler.stats()[0].calls == 2
-
-
 def test_byte_model_shrinks_with_bit_width():
     network = make_tiny_cnn()
-    network.eval_mode()
-    images = np.zeros((1, 1, 28, 28), dtype=np.float32)
     totals = {}
     for bits in (32, 8):
-        with LayerProfiler(network, weight_bits=bits,
-                           activation_bits=bits) as profiler:
-            network.forward(images)
-        totals[bits] = profiler.total_bytes()
+        shape, total = (1, 28, 28), 0
+        for layer in network.layers:
+            total += layer_bytes(layer, shape, weight_bits=bits,
+                                 activation_bits=bits)
+            shape = layer.output_shape(shape)
+        totals[bits] = total
     assert totals[8] * 4 == pytest.approx(totals[32], rel=0.01)

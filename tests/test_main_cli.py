@@ -5,7 +5,16 @@ import os
 
 import pytest
 
+from repro import backends, obs
 from repro.cli import main
+
+
+@pytest.fixture
+def backend_flag(monkeypatch):
+    """``--backend`` sets the process default and the environment; undo both."""
+    monkeypatch.setenv(backends.ENV_VAR, backends.get_default())
+    yield
+    backends.set_default(None)
 
 
 def test_hw_report(capsys):
@@ -111,6 +120,30 @@ def test_profile_json_output(capsys):
     assert conv_rows and all(row["flops"] > 0 for row in conv_rows)
     assert any("quant_rms" in row for row in layers.values())
     assert "histograms" in payload["metrics"]
+
+
+def test_profile_times_the_backend_it_names(capsys, backend_flag):
+    fallbacks = obs.get_metrics().counter("kernels.fused.fallback_units")
+    before = fallbacks.value
+    assert main(["profile", "--backend", "fused", "--network", "lenet_small",
+                 "--precision", "fixed8", "--limit", "8", "--calibration", "8",
+                 "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # every unit of the timed pass ran its fused kernel
+    assert fallbacks.value == before
+    assert payload["kernels_parity"] is True
+    assert payload["total_flops"] == 3550160
+    assert payload["total_bytes"] == 328426
+    assert "profile.forward_ms.conv1" in payload["metrics"]["histograms"]
+    assert [row["kind"] for row in payload["layers"][:2]] == ["quant", "conv"]
+    assert all(row["calls"] == 1 for row in payload["layers"])
+
+
+def test_profile_on_the_reference_backend(capsys, backend_flag):
+    assert main(["profile", "--backend", "reference", "--limit", "8",
+                 "--calibration", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "reference backend" in out and "TOTAL" in out
 
 
 def test_unknown_command_rejected():
