@@ -1,9 +1,9 @@
-"""Dataset containers, splits and batching."""
+"""Dataset containers, splits, batching and chunked synthesis."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,3 +123,39 @@ def batches(
     for start in range(0, len(dataset), batch_size):
         idx = order[start : start + batch_size]
         yield dataset.images[idx], dataset.labels[idx]
+
+
+#: Images per chunk of :func:`synthesize`: bounds the temporaries one
+#: vectorized rendering pass holds.
+SYNTH_CHUNK = 64
+
+
+def synthesize(
+    count: int,
+    image_shape: Tuple[int, int, int],
+    render_chunk: Callable[[np.ndarray], np.ndarray],
+    rng: np.random.Generator,
+    class_names: Sequence[str],
+    name: str,
+) -> Dataset:
+    """A class-balanced synthetic dataset, rendered a chunk at a time.
+
+    Image ``i`` shows class ``i % len(class_names)``.  ``render_chunk``
+    takes the labels of up to :data:`SYNTH_CHUNK` consecutive images,
+    draws their randomness from ``rng`` in image order, and returns the
+    finished images; one ``rng`` permutation then shuffles the set.
+    """
+    labels = np.arange(count) % len(class_names)
+    images = np.empty((count, *image_shape), dtype=np.float32)
+    for start in range(0, count, SYNTH_CHUNK):
+        stop = min(start + SYNTH_CHUNK, count)
+        images[start:stop] = render_chunk(labels[start:stop])
+    order = rng.permutation(count)
+    return Dataset(images[order], labels[order], list(class_names), name=name)
+
+
+def add_noise(images: np.ndarray, noises: Sequence[np.ndarray]) -> np.ndarray:
+    """``clip(images + noise, 0, 1)`` over a chunk, one noise array per image."""
+    noisy = np.stack(noises).reshape(images.shape)
+    noisy += images
+    return np.clip(noisy, 0.0, 1.0, out=noisy)

@@ -8,7 +8,7 @@ sample is unique while classes stay visually distinct.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,73 @@ DIGIT_STROKES: Dict[int, List[Stroke]] = {
 
 DIGIT_CLASS_NAMES = [str(d) for d in range(10)]
 
+#: Per digit, its polyline segments as (x1, y1, x2, y2) rows and its
+#: ellipses as (cx, cy, rx, ry) rows, in unit-square coordinates.
+_SEGMENTS = {
+    digit: np.array([a + b for kind, spec in strokes if kind == "line"
+                     for a, b in zip(spec[:-1], spec[1:])]).reshape(-1, 4)
+    for digit, strokes in DIGIT_STROKES.items()
+}
+_ELLIPSES = {
+    digit: np.array([spec for kind, spec in strokes if kind == "ellipse"]).reshape(-1, 4)
+    for digit, strokes in DIGIT_STROKES.items()
+}
+
+#: (cos rotation, sin rotation, scale, shift x, shift y, thickness) of one glyph
+Jitter = Tuple[float, float, float, float, float, float]
+
+
+def draw_jitter(
+    rng: np.random.Generator,
+    size: int,
+    rotation_range: float = 0.20,
+    scale_range: Tuple[float, float] = (0.85, 1.1),
+    shift_pixels: float = 1.5,
+    thickness_range: Tuple[float, float] = (1.0, 1.8),
+) -> Jitter:
+    """Draw one glyph's rotation, scale, shift and stroke thickness.
+
+    The jitter ranges control task difficulty; the digits dataset uses
+    gentle defaults, the svhn generator passes wider ones.
+    """
+    rotation = rng.uniform(-rotation_range, rotation_range)
+    scale = rng.uniform(*scale_range)
+    shift_x = rng.uniform(-shift_pixels, shift_pixels)
+    shift_y = rng.uniform(-shift_pixels, shift_pixels)
+    thickness = rng.uniform(*thickness_range) * size / 28.0
+    return np.cos(rotation), np.sin(rotation), scale, shift_x, shift_y, thickness
+
+
+def _strokes(table: Dict[int, np.ndarray], digits: Sequence[int]):
+    """The table rows of every digit, and which glyph each row belongs to."""
+    rows = [table[d] for d in digits]
+    return np.repeat(np.arange(len(rows)), [len(r) for r in rows]), np.concatenate(rows).T
+
+
+def sketch_digits(sketch: shapes.Sketch, digits: Sequence[int],
+                  jitters: Sequence[Jitter]) -> np.ndarray:
+    """Queue one jittered glyph per digit, each on a new canvas of ``sketch``.
+
+    Returns the canvas indices.  Glyph strokes rasterize in float64.
+    """
+    size = sketch.size
+    canvases = sketch.canvases(len(digits))
+    jitter = np.array(jitters, dtype=np.float64).T
+
+    def place(glyph, x, y):
+        cos_r, sin_r, scale, shift_x, shift_y, _ = jitter[:, glyph]
+        return shapes.place_points(x, y, size, cos_r, sin_r, scale, shift_x, shift_y)
+
+    glyph, (x1, y1, x2, y2) = _strokes(_SEGMENTS, digits)
+    sketch.segment(canvases[glyph], place(glyph, x1, y1), place(glyph, x2, y2),
+                   jitter[5, glyph], dtype=np.float64)
+    glyph, (cx, cy, rx, ry) = _strokes(_ELLIPSES, digits)
+    span, scale = size - 2 * (0.15 * size), jitter[2, glyph]
+    sketch.ellipse(canvases[glyph], place(glyph, cx, cy),
+                   (rx * span * scale, ry * span * scale), jitter[5, glyph],
+                   dtype=np.float64)
+    return canvases
+
 
 def render_digit(
     digit: int,
@@ -51,30 +118,11 @@ def render_digit(
 ) -> np.ndarray:
     """Render one jittered digit glyph onto a ``size x size`` canvas.
 
-    Returns a single-channel float canvas in [0, 1].  The jitter ranges
-    control task difficulty; the digits dataset uses gentle defaults,
-    the svhn generator passes wider ones.
+    Returns a single-channel float canvas in [0, 1]; the jitter comes
+    from :func:`draw_jitter`.
     """
-    canvas = shapes.blank_canvas(size)
-    rotation = rng.uniform(-rotation_range, rotation_range)
-    scale = rng.uniform(*scale_range)
-    shift = (
-        rng.uniform(-shift_pixels, shift_pixels),
-        rng.uniform(-shift_pixels, shift_pixels),
-    )
-    thickness = rng.uniform(*thickness_range) * size / 28.0
-    for kind, spec in DIGIT_STROKES[digit]:
-        if kind == "line":
-            pts = shapes.affine_points(spec, size, rotation, scale, shift)
-            shapes.draw_polyline(canvas, pts, thickness=thickness)
-        else:
-            cx, cy, rx, ry = spec
-            center_pts = shapes.affine_points([(cx, cy)], size, rotation, scale, shift)
-            span = size - 2 * (0.15 * size)
-            shapes.draw_ellipse(
-                canvas,
-                center_pts[0],
-                (rx * span * scale, ry * span * scale),
-                thickness=thickness,
-            )
-    return canvas
+    jitter = draw_jitter(rng, size, rotation_range, scale_range, shift_pixels,
+                         thickness_range)
+    sketch = shapes.Sketch(size)
+    sketch_digits(sketch, [digit], [jitter])
+    return sketch.render()[0]

@@ -15,7 +15,7 @@ from repro.data.dataset import DataSplit, Dataset, stratified_split
 from repro.data.synth_cifar import synthetic_cifar
 from repro.data.synth_digits import synthetic_digits
 from repro.data.synth_svhn import synthetic_svhn
-from repro.errors import ConfigurationError
+from repro.errors import ConfigError, ConfigurationError
 
 DATASET_BUILDERS: Dict[str, Callable] = {
     "digits": synthetic_digits,
@@ -57,4 +57,10 @@ def load_dataset(
         )
     rng = np.random.default_rng(seed + 1000)
     test, val = stratified_split(test_full, val_fraction, rng)
+    if not len(test):
+        raise ConfigError(
+            "n_test",
+            f"{n_test} test images leave none once validation holds out "
+            f"{val_fraction:.0%} of each class (at least one per class)",
+        )
     return DataSplit(train=train, val=val, test=test)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.dataset import Dataset
-from repro.data.glyphs import DIGIT_CLASS_NAMES, render_digit
+from repro.data import shapes
+from repro.data.dataset import add_noise, synthesize
+from repro.data.glyphs import DIGIT_CLASS_NAMES, draw_jitter, sketch_digits
 from repro.errors import ConfigurationError
 
 
@@ -33,16 +34,17 @@ def synthetic_digits(
         raise ConfigurationError("need at least one sample per class")
     rng = np.random.default_rng(seed)
 
-    def generate(count: int, name: str) -> Dataset:
-        images = np.zeros((count, 1, size, size), dtype=np.float32)
-        labels = np.zeros(count, dtype=np.int64)
-        for i in range(count):
-            digit = i % 10
-            canvas = render_digit(digit, size, rng)
-            canvas = canvas + rng.normal(0.0, noise, canvas.shape)
-            images[i, 0] = np.clip(canvas, 0.0, 1.0)
-            labels[i] = digit
-        order = rng.permutation(count)
-        return Dataset(images[order], labels[order], DIGIT_CLASS_NAMES, name=name)
+    def render_chunk(digits: np.ndarray) -> np.ndarray:
+        jitters, noises = [], []
+        for _ in digits:
+            jitters.append(draw_jitter(rng, size))
+            noises.append(rng.normal(0.0, noise, (size, size)))
+        sketch = shapes.Sketch(size)
+        sketch_digits(sketch, digits, jitters)
+        return add_noise(sketch.render()[:, None], noises)
 
-    return generate(n_train, "digits"), generate(n_test, "digits")
+    def generate(count: int):
+        return synthesize(count, (1, size, size), render_chunk, rng,
+                          DIGIT_CLASS_NAMES, "digits")
+
+    return generate(n_train), generate(n_test)

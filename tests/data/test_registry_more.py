@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import DATASET_BUILDERS, load_dataset
+from repro.errors import ConfigError
 
 
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
@@ -37,3 +38,16 @@ def test_image_shapes_match_paper_networks():
     assert load_dataset("digits", 50, 50).image_shape == (1, 28, 28)
     assert load_dataset("svhn", 50, 50).image_shape == (3, 32, 32)
     assert load_dataset("cifar", 50, 50).image_shape == (3, 32, 32)
+
+
+@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
+def test_empty_test_split_rejected(name):
+    # one test image per class: the validation hold-out takes all ten
+    with pytest.raises(ConfigError) as info:
+        load_dataset(name, n_train=10, n_test=10, seed=0)
+    assert info.value.field == "n_test"
+
+
+def test_smallest_splits_keep_test_images():
+    assert len(load_dataset("digits", n_train=10, n_test=11, seed=0).test) == 1
+    assert len(load_dataset("digits", n_train=32, n_test=16, seed=0).test) == 6
