@@ -101,16 +101,24 @@ smoke_sweep() {
 
 smoke_search() {
   echo "== smoke: mixed-precision & width search -> promoted channel"
-  rm -rf /tmp/repro-search-cache /tmp/repro-search-registry
-  python -m repro search \
-    --task lenet_small --energy-budget 50 \
-    --generations 2 --population 3 --survivors 3 \
-    --widths 0.5 1.0 --weight-bits 2 4 8 \
-    --n-train 256 --n-test 96 --float-epochs 1 --qat-epochs 1 \
-    --cache-dir /tmp/repro-search-cache \
-    --registry /tmp/repro-search-registry \
-    --json | tee "$OUT/search.json" >/dev/null
-  python - "$OUT/search.json" <<'EOF'
+  rm -rf /tmp/repro-search-cache /tmp/repro-search-registry \
+    /tmp/repro-search-registry-replay
+  run_search() {
+    python -m repro search \
+      --task lenet_small --energy-budget 50 \
+      --generations 2 --population 3 --survivors 3 \
+      --widths 0.5 1.0 --weight-bits 2 4 8 \
+      --n-train 256 --n-test 96 --float-epochs 1 --qat-epochs 1 \
+      --cache-dir /tmp/repro-search-cache --json "$@"
+  }
+  run_search --registry /tmp/repro-search-registry \
+    | tee "$OUT/search.json" >/dev/null
+  # The replay serves every point from the cache, so publishing reads
+  # each published point's weights from its .npz on first use; no other
+  # CI step exercises that path.
+  run_search --resume --registry /tmp/repro-search-registry-replay \
+    | tee "$OUT/search-replay.json" >/dev/null
+  python - "$OUT/search.json" "$OUT/search-replay.json" <<'EOF'
 import json, sys
 payload = json.load(open(sys.argv[1]))
 assert payload["promoted"], payload.get("rejected")
@@ -120,6 +128,17 @@ print(f"search smoke: {payload['evaluated']} evaluated, "
       f"{len(payload['frontier'])} frontier point(s), "
       f"{len(payload['promoted'])} promoted, "
       f"dominates_fixed_grid={payload['dominates_fixed_grid']}")
+
+replay = json.load(open(sys.argv[2]))
+assert replay["cache_misses"] == 0, replay["cache_misses"]
+frontier = [[(p["label"], p["accuracy"], p["energy_uj"]) for p in run["frontier"]]
+            for run in (payload, replay)]
+assert frontier[0] == frontier[1], frontier
+promoted = [[(e["label"], e["digest"]) for e in run["promoted"]]
+            for run in (payload, replay)]
+assert promoted[0] == promoted[1], promoted
+print(f"search replay: {replay['cache_hits']} hits, 0 misses, same frontier, "
+      f"{len(replay['promoted'])} identical promoted digest(s)")
 EOF
 }
 

@@ -991,19 +991,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     published = []
     if args.publish:
         art_store = registry.ArtifactStore(args.publish)
-        cache_keys = {}
-        if store is not None:
-            from repro.parallel.executor import _point_keys
-            cache_keys = _point_keys(sweep, specs, store)
         for result in results:
-            state = sweep.point_states.get(result.spec.key)
-            if not result.converged or state is None:
+            if not result.converged:
+                continue
+            state = sweep.point_state(result.spec.key)
+            if state is None:
                 continue
             manifest = registry.publish_with_modeled_costs(
                 art_store, state, args.network, result.spec.key,
                 accuracy=result.accuracy,
                 n_samples=int(split.test.labels.shape[0]),
-                sweep_cache_key=cache_keys.get(result.spec.key),
+                sweep_cache_key=sweep.cache_keys.get(result.spec.key),
                 created_by="repro sweep --publish",
             )
             published.append(manifest)

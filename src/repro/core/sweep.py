@@ -11,7 +11,7 @@ comparing the final accuracy against chance level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -87,11 +87,11 @@ class PrecisionSweep:
         split: train/val/test data.
         config: training budgets.
         keep_states: retain each point's trained full-precision
-            parameter arrays in :attr:`point_states` (keyed by spec
-            key).  Off by default — a full sweep's states are several
-            networks' worth of memory — and switched on by publishers
-            (``repro sweep --publish``) that turn sweep winners into
-            registry artifacts.
+            parameter arrays (keyed by spec key; read them with
+            :meth:`point_state`).  Off by default — a full sweep's
+            states are several networks' worth of memory — and switched
+            on by publishers (``repro sweep --publish``) that turn
+            sweep winners into registry artifacts.
     """
 
     def __init__(
@@ -105,8 +105,15 @@ class PrecisionSweep:
         self.split = split
         self.config = config or SweepConfig()
         self.keep_states = keep_states
-        #: spec key -> trained parameter arrays (only with keep_states)
+        #: spec key -> trained parameter arrays held in memory (only
+        #: with keep_states)
         self.point_states: Dict[str, Dict[str, np.ndarray]] = {}
+        #: spec key -> (cache, cache key) of weights a cached run found
+        #: on disk and has not read yet (only with keep_states)
+        self.stored_states: Dict[str, Tuple[object, str]] = {}
+        #: spec key -> sweep-cache key, for every point a cached run
+        #: resolved (recorded by :func:`repro.parallel.run_sweep`)
+        self.cache_keys: Dict[str, str] = {}
         self._float_network: Optional[Sequential] = None
         self._float_result: Optional[PrecisionResult] = None
 
@@ -137,6 +144,30 @@ class PrecisionSweep:
         self._float_result = result
         if self.keep_states:
             self.point_states["float32"] = network_state(network)
+
+    def point_state(self, spec_key: str) -> Optional[Dict[str, np.ndarray]]:
+        """Trained parameter arrays of one point, or None.
+
+        A point trained in this process is already in
+        :attr:`point_states`.  A point a cached run served is read from
+        the ``.npz`` recorded in :attr:`stored_states` on this first
+        use.  If that file has gone missing or is unreadable (the cache
+        drops it with a warning), the point runs again through the same
+        cache: as a result-only entry it is a miss, so it retrains from
+        the cached float baseline — deterministically, so the weights
+        match the cached accuracy — and its weights are stored again.
+        None without ``keep_states``, for a point never run, or for one
+        whose training diverged.
+        """
+        stored = self.stored_states.pop(spec_key, None)
+        if stored is not None and spec_key not in self.point_states:
+            cache, key = stored
+            state = cache.get_state(key)
+            if state is None:
+                self.run([spec_key], cache=cache)
+            else:
+                self.point_states[spec_key] = state
+        return self.point_states.get(spec_key)
 
     def _derived_rng(self, *stream: object) -> np.random.Generator:
         """Fresh generator for one named stream of this sweep.

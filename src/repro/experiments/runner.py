@@ -111,16 +111,21 @@ class SweepRunner:
     def trained_state(self, paper_network: str, spec: PrecisionSpec):
         """Trained parameter arrays for one evaluated point, or ``None``.
 
-        Only available when the runner was built with
-        ``keep_states=True`` and the point actually trained (registry
-        publishing from the Figure 4 driver); cached sweep results that
-        were restored without their weights return ``None``.
+        Needs a runner built with ``keep_states=True`` (registry
+        publishing from :mod:`repro.experiments.fig4`); then every
+        evaluated point has weights.  Points trained in this process
+        are held in memory; points served from the on-disk cache are
+        read from its ``.npz`` on this first call, and a missing or
+        unreadable file retrains that point (see
+        :meth:`PrecisionSweep.point_state`).  ``None`` without
+        ``keep_states``, for a point never evaluated, or for one whose
+        training diverged.
         """
         trained = self.config.accuracy_network(paper_network)
         sweep = self._sweeps.get(trained)
         if sweep is None:
             return None
-        return sweep.point_states.get(spec.key)
+        return sweep.point_state(spec.key)
 
     def prefetch(
         self, paper_network: str, specs: Sequence[PrecisionSpec]

@@ -14,12 +14,13 @@ a SHA-256 digest over everything that determines its outcome:
 
 Entries are JSON files under ``~/.cache/repro-sweeps`` (override with
 the ``REPRO_SWEEP_CACHE`` environment variable or the ``root``
-argument), sharded by the first two hex digits of the key.  The float
-baseline's trained weights are stored next to its result as an ``.npz``
-so resumed or parallel sweeps warm-start without retraining.  Writes
-are atomic (temp file + ``os.replace``); a corrupted or unreadable
-entry is treated as a miss, removed, and re-trained — a warning is
-logged, the sweep never fails because of a bad cache file.
+argument), sharded by the first two hex digits of the key.  Trained
+weights are stored next to a result as an ``.npz``: the float
+baseline's, so resumed or parallel sweeps warm-start without
+retraining, and every point's of a keep-states (publishing) sweep.
+Writes are atomic (temp file + ``os.replace``); a corrupted or
+unreadable entry is treated as a miss, removed, and re-trained — a
+warning is logged, the sweep never fails because of a bad cache file.
 """
 
 from __future__ import annotations
@@ -178,8 +179,15 @@ class SweepCache:
         return os.path.join(self.root, key[:2], key + suffix)
 
     # -- results -------------------------------------------------------
-    def get(self, key: str) -> Optional[PrecisionResult]:
+    def get(
+        self, key: str, require_state: bool = False
+    ) -> Optional[PrecisionResult]:
         """Cached result for ``key``, or None (corrupt entries -> miss).
+
+        ``require_state`` makes a result-only entry — one whose weights
+        ``.npz`` is absent — a miss, counted once as such: callers that
+        need the trained weights retrain the point.  Only the file's
+        existence is checked; :meth:`get_state` reads it.
 
         The ``cache.read`` fault-injection site lives here: an injected
         raise is treated as a transient miss (the entry survives on
@@ -213,6 +221,9 @@ class SweepCache:
             self._remove(path)
             self.misses += 1
             return None
+        if require_state and not os.path.exists(self._path(key, ".npz")):
+            self.misses += 1
+            return None
         self.hits += 1
         return result
 
@@ -223,7 +234,7 @@ class SweepCache:
         atomic_write(path, payload.encode("utf-8"))
         return path
 
-    # -- weight states (float baseline warm-starts) --------------------
+    # -- weight states (baseline warm-starts, publishable points) ------
     def get_state(self, key: str) -> Optional[Dict[str, np.ndarray]]:
         """Cached parameter arrays for ``key``, or None."""
         path = self._path(key, ".npz")

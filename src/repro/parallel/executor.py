@@ -124,7 +124,7 @@ def _ensure_baseline(
             and not refresh
             and not float_checked
         ):
-            cached_float = cache.get(keys["float32"])
+            cached_float = cache.get(keys["float32"], require_state=True)
         state = None
         if cache is not None and cached_float is not None:
             state = cache.get_state(keys["float32"])
@@ -188,30 +188,28 @@ def run_sweep(
     cached_float: Optional[PrecisionResult] = None
     float_checked = False
 
-    keep_states = getattr(sweep, "keep_states", False)
+    keep_states = sweep.keep_states
 
     # -- pass 1: resolve every point against the cache -----------------
     if store is not None:
         keys = _point_keys(sweep, specs, store)
+        sweep.cache_keys.update(keys)
         if not refresh:
             for index, spec in enumerate(specs):
                 if spec.is_float:
                     float_checked = True
-                result = store.get(keys[spec.key])
+                # A publishing sweep needs the trained weights, not just
+                # the accuracy row: a result-only entry (from a
+                # pre-publish run) is a miss, so the point is retrained —
+                # deterministically, so the weights match the cached
+                # accuracy.  A hit's weights are only recorded here;
+                # PrecisionSweep.point_state reads them on first use.
+                result = store.get(keys[spec.key], require_state=keep_states)
                 if result is None:
                     metrics.counter("parallel.cache.misses").inc()
                     continue
                 if keep_states:
-                    # A publishing sweep needs the trained weights, not
-                    # just the accuracy row; a result-only entry (from a
-                    # pre-publish run) counts as a miss so the point is
-                    # retrained — deterministically, so the weights match
-                    # the cached accuracy.
-                    state = store.get_state(keys[spec.key])
-                    if state is None:
-                        metrics.counter("parallel.cache.misses").inc()
-                        continue
-                    sweep.point_states[spec.key] = state
+                    sweep.stored_states[spec.key] = (store, keys[spec.key])
                 metrics.counter("parallel.cache.hits").inc()
                 with tracer.span("parallel.point", spec=spec.key, cached=True):
                     results[index] = result

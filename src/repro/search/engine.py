@@ -47,7 +47,7 @@ from repro.ioutil import atomic_write
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.parallel.cache import SweepCache
-from repro.parallel.executor import _point_keys, resolve_cache
+from repro.parallel.executor import resolve_cache
 from repro.parallel.seeding import generator_for
 from repro.registry import (
     ArtifactStore,
@@ -203,12 +203,18 @@ class PrecisionSearch:
         self.energy_model = energy_model or EnergyModel()
         info = network_info(self.space.task)
         self._input_shape = info.input_shape
-        self.split = load_dataset(
-            info.dataset,
+        with get_tracer().span(
+            "search.dataset",
+            dataset=info.dataset,
             n_train=config.n_train,
             n_test=config.n_test,
-            seed=config.dataset_seed,
-        )
+        ):
+            self.split = load_dataset(
+                info.dataset,
+                n_train=config.n_train,
+                n_test=config.n_test,
+                seed=config.dataset_seed,
+            )
         template = build_network(self.space.task, seed=config.sweep.seed)
         self.n_layers = len(
             [l for l in template.layers
@@ -271,9 +277,6 @@ class PrecisionSearch:
                 metrics.counter("search.cache_hits").inc(
                     self.cache.hits - hits_before
                 )
-            keys: Dict[str, str] = {}
-            if self.cache is not None:
-                keys = _point_keys(sweep, specs, self.cache)
             by_key = {result.spec.key: result for result in results}
             for candidate in group:
                 result = by_key[candidate.spec().key]
@@ -283,7 +286,7 @@ class PrecisionSearch:
                         result=result,
                         energy_uj=self._energy(candidate),
                         generation=generation,
-                        cache_key=keys.get(candidate.spec().key),
+                        cache_key=sweep.cache_keys.get(candidate.spec().key),
                     )
                 )
         metrics.counter("search.evaluated").inc(len(evaluated))
@@ -512,7 +515,9 @@ class PrecisionSearch:
 
         Every frontier point whose trained weights the search retained
         becomes an artifact (manifest carries width/generation and the
-        salted sweep cache key for provenance); the frontier then walks
+        salted sweep cache key for provenance).  Points a replay served
+        from the cache have their weights read here, on first use
+        (:meth:`PrecisionSweep.point_state`).  The frontier then walks
         the channel expensive-first through
         :func:`repro.registry.promote_frontier` with the energy budget
         as the gate's absolute ``max_energy_uj``.
@@ -527,7 +532,7 @@ class PrecisionSearch:
             sweep = self._sweeps.get(entry.candidate.network)
             if sweep is None:
                 continue
-            state = sweep.point_states.get(entry.candidate.spec_key)
+            state = sweep.point_state(entry.candidate.spec_key)
             if state is None:
                 continue
             manifests[point.label] = publish_with_modeled_costs(

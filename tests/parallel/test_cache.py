@@ -183,6 +183,16 @@ def test_state_roundtrip(cache):
         assert np.array_equal(loaded[name], state[name])
 
 
+def test_result_only_entry_is_one_miss_when_state_required(cache):
+    key = cache.point_key("d", "fixed8", "s", "c")
+    cache.put(key, make_result())
+    assert cache.get(key, require_state=True) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    cache.put_state(key, {"w": np.ones(3, dtype=np.float32)})
+    assert cache.get(key, require_state=True) == make_result()
+    assert (cache.hits, cache.misses) == (1, 1)
+
+
 def test_corrupt_state_is_dropped(cache, caplog):
     key = cache.point_key("d", "float32", "s", "c")
     path = cache.put_state(key, {"w": np.ones(3, dtype=np.float32)})

@@ -150,3 +150,24 @@ def test_sweep_publish_creates_artifacts(root, capsys):
     # int8 artifact should be cheaper than float on the modeled hw
     assert (artifacts["fixed8"]["energy_uj_per_image"]
             < artifacts["float32"]["energy_uj_per_image"])
+
+
+def test_sweep_publish_from_a_warm_cache_matches_cold(tmp_path, capsys):
+    def sweep_publish(registry_root):
+        code = main([
+            "sweep", "--network", "lenet_small",
+            "--precisions", "float32", "fixed8",
+            "--n-train", "200", "--n-test", "100",
+            "--float-epochs", "1", "--qat-epochs", "1",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--publish", str(tmp_path / registry_root), "--json",
+        ])
+        assert code == 0
+        return json.loads(capsys.readouterr().out)
+
+    cold = sweep_publish("cold")
+    assert {a["precision"] for a in cold["artifacts"]} == {"float32", "fixed8"}
+    warm = sweep_publish("warm")
+    assert (warm["cache_hits"], warm["cache_misses"]) == (2, 0)
+    assert warm["results"] == cold["results"]
+    assert warm["artifacts"] == cold["artifacts"]

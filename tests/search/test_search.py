@@ -9,11 +9,14 @@ scaled/layered points that dominate the fixed paper grid.
 
 import json
 import os
+import shutil
 
 import pytest
 
+from repro import obs
 from repro.core.sweep import SweepConfig
 from repro.errors import ConfigError
+from repro.parallel import SweepCache, executor
 from repro.search import PrecisionSearch, SearchConfig, SearchSpace
 
 BUDGET_UJ = 50.0
@@ -55,6 +58,43 @@ def searched(cache_root):
     return search, search.run()
 
 
+def artifact_digests(published):
+    """label -> artifact digest of one ``PrecisionSearch.publish``."""
+    return {label: m.digest for label, m in published["artifacts"].items()}
+
+
+@pytest.fixture(scope="module")
+def cold_digests(searched, tmp_path_factory):
+    search, result = searched
+    return artifact_digests(search.publish(
+        result, str(tmp_path_factory.mktemp("cold-registry"))
+    ))
+
+
+def copy_cache(cache_root, tmp_path):
+    """A private copy of the shared cache, for tests that damage it."""
+    root = str(tmp_path / "cache")
+    shutil.copytree(cache_root, root)
+    return root
+
+
+def state_path(root, key):
+    return os.path.join(root, key[:2], key + ".npz")
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so the returned list counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_search_produces_an_energy_sorted_frontier(searched):
     _, result = searched
     assert result.generations_run == 2
@@ -90,6 +130,84 @@ def test_resume_replays_bitwise_from_cache(searched, cache_root):
     assert frontier_tuples(resumed) == frontier_tuples(first)
     assert resumed.cache_misses == 0
     assert resumed.cache_hits > 0
+
+
+def test_warm_replay_reads_no_states_and_keys_each_sweep_once(
+    searched, cache_root, monkeypatch
+):
+    state_reads = count_calls(monkeypatch, SweepCache, "get_state")
+    sweeps = count_calls(monkeypatch, executor, "run_sweep")
+    fingerprints = count_calls(monkeypatch, executor, "split_fingerprint")
+    resumed = PrecisionSearch(make_config(), cache=cache_root).run(resume=True)
+    assert resumed.cache_misses == 0
+    assert state_reads == []
+    # one key computation (one split fingerprint) per run_sweep call
+    assert sweeps and len(fingerprints) == len(sweeps)
+
+
+def test_replay_counts_a_result_only_entry_once_as_a_miss(
+    searched, cache_root, tmp_path
+):
+    from repro.obs.metrics import get_metrics
+
+    _, first = searched
+    root = copy_cache(cache_root, tmp_path)
+    # fixed8 shares its sweep call with the cached float baseline
+    key = first.by_label("lenet_small|fixed8").cache_key
+    os.remove(state_path(root, key))
+    metrics = get_metrics()
+    hits_before = metrics.counter("parallel.cache.hits").value
+    misses_before = metrics.counter("parallel.cache.misses").value
+    resumed = PrecisionSearch(make_config(), cache=root).run(resume=True)
+    assert frontier_tuples(resumed) == frontier_tuples(first)
+    assert resumed.cache_misses == 1
+    assert resumed.cache_hits == len(resumed.evaluated) - 1
+    assert metrics.counter("parallel.cache.misses").value - misses_before == 1
+    assert (metrics.counter("parallel.cache.hits").value - hits_before
+            == resumed.cache_hits)
+    assert os.path.exists(state_path(root, key))  # retrained and re-stored
+
+
+def test_publish_after_replay_matches_the_cold_digests(
+    cache_root, cold_digests, tmp_path
+):
+    search = PrecisionSearch(make_config(), cache=cache_root)
+    published = search.publish(
+        search.run(resume=True), str(tmp_path / "registry")
+    )
+    assert artifact_digests(published) == cold_digests
+
+
+def test_publish_after_replay_retrains_a_corrupt_state(
+    searched, cache_root, cold_digests, tmp_path, caplog
+):
+    _, first = searched
+    root = copy_cache(cache_root, tmp_path)
+    key = next(
+        first.by_label(p.label).cache_key for p in first.frontier
+        if first.by_label(p.label).candidate.spec_key != "float32"
+    )
+    with open(state_path(root, key), "wb") as handle:
+        handle.write(b"junk")
+    search = PrecisionSearch(make_config(), cache=root)
+    resumed = search.run(resume=True)
+    assert resumed.cache_misses == 0  # the replay only checks existence
+    with caplog.at_level("WARNING", logger="repro.parallel.cache"):
+        published = search.publish(resumed, str(tmp_path / "registry"))
+    assert "corrupt weights" in caplog.text
+    assert artifact_digests(published) == cold_digests
+    assert SweepCache(root).get_state(key) is not None  # stored again
+
+
+def test_dataset_load_is_a_search_dataset_span():
+    tracer = obs.Tracer()
+    previous = obs.set_tracer(tracer)
+    try:
+        PrecisionSearch(make_config(n_train=64, n_test=32))
+    finally:
+        obs.set_tracer(previous)
+    (span,) = tracer.records("search.dataset")
+    assert span.tags == {"dataset": "digits", "n_train": 64, "n_test": 32}
 
 
 def test_resume_requires_a_cache():
