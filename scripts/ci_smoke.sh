@@ -36,7 +36,7 @@ smoke_chaos() {
   python -m repro serve-bench \
     --requests 256 --workers 2 --max-batch 8 \
     --concurrency 16 --calibration 64 --skip-baseline \
-    --chaos 0 --deadline-ms 500 --degrade fixed4 \
+    --chaos 0 --deadline-ms 500 \
     --json | tee "$OUT/chaos.json" >/dev/null
   python - "$OUT/chaos.json" <<'EOF'
 import json, sys
@@ -63,6 +63,8 @@ payload = json.load(open(sys.argv[1]))
 assert payload["lost"] == 0, payload
 assert payload["fleet"]["restarts"] >= 1, payload["fleet"]
 assert payload["report"]["completed"] == 128, payload["report"]
+# the replica-side view counts the crashed incarnation's batches too
+assert payload["replica_compute"]["completed"] == 128, payload["replica_compute"]
 print(f"fleet-chaos smoke: {payload['fleet']['restarts']} restart(s), "
       f"{payload['fleet']['resubmissions']} resubmission(s), 0 lost")
 EOF

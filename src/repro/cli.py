@@ -212,6 +212,50 @@ def _apply_backend(args: argparse.Namespace) -> str:
     return backends.get_default()
 
 
+def _bench_payload(args, spec, backend_name, servable, result=None) -> dict:
+    """The JSON fields every serve-bench mode shares; ``result`` adds the
+    ones of a closed-loop run (in-process and fleet modes)."""
+    payload = {
+        "network": args.network,
+        "precision": spec.key,
+        "backend": backend_name,
+        "max_batch": args.max_batch,
+        "memory_kb": float(servable.memory_kb),
+        "energy_uj_per_image": float(servable.energy_uj_per_image),
+    }
+    if result is not None:
+        payload.update({
+            "requests": args.requests,
+            "concurrency": args.concurrency,
+            "deadline_ms": args.deadline_ms if args.deadline_ms > 0 else None,
+            "chaos_seed": args.chaos,
+            "report": dataclasses.asdict(result.report),
+            "retries": result.retries,
+            "client_errors": result.client_errors,
+            "deadline_expired": result.deadline_expired,
+            "lost": result.lost,
+            "accounted": result.accounted,
+            "submitted": result.submitted,
+        })
+    return payload
+
+
+def _print_closed_loop(args, executor: str, report_text: str, result) -> None:
+    """The text report of one closed-loop run and its failure lines."""
+    print()
+    print(f"closed loop: {args.requests} requests, {args.concurrency} "
+          f"clients, {executor}, max batch {args.max_batch}")
+    print(report_text)
+    for label, count in (
+        ("backpressure retries", result.retries),
+        ("client errors", result.client_errors),
+        ("deadline expired", result.deadline_expired),
+        ("LOST futures", result.lost),
+    ):
+        if count:
+            print(f"{label:<24}: {count}")
+
+
 def cmd_serve_bench(args: argparse.Namespace) -> int:
     backend_name = _apply_backend(args)
     if args.canary and not args.registry:
@@ -247,26 +291,11 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     servable = store.warm(args.network, args.precision)  # build outside timing
     spec = core.get_precision(args.precision)
 
-    degrade = None
-    degrade_watermark = 0
-    if args.degrade:
-        degrade_watermark = args.degrade_watermark or max(args.queue_size // 2, 1)
-        degrade = control.AutoTuner.latency_only(
-            watermark=degrade_watermark,
-            fallback={args.precision: args.degrade},
-        )
-        store.warm(args.network, args.degrade)  # fallback ready before load
-
     if args.autotune:
         if args.replicas > 0:
             raise ConfigurationError(
                 "--autotune scenarios run the in-process engine; "
                 "drop --replicas"
-            )
-        if args.degrade:
-            raise ConfigurationError(
-                "--autotune supersedes --degrade (the controller owns the "
-                "precision knob); drop one of them"
             )
         if args.chaos is not None:
             raise ConfigurationError(
@@ -279,8 +308,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
 
     if args.replicas > 0:
         return _serve_bench_fleet(
-            args, backend_name, art_store, channel, images, servable,
-            spec, degrade,
+            args, backend_name, art_store, channel, images, servable, spec,
         )
 
     if not args.json:
@@ -295,9 +323,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
                   f"v{rollout.version} ({rollout.digest[:12]}), "
                   f"build {rollout.build_ms:.1f} ms, "
                   f"swap {rollout.swap_ms:.2f} ms")
-        if degrade is not None:
-            print(f"overload degradation    : -> {args.degrade} past queue "
-                  f"depth {degrade_watermark}")
         if args.chaos is not None:
             print(f"chaos                   : fault injector armed, "
                   f"seed {args.chaos}")
@@ -311,7 +336,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             max_batch_size=max_batch,
             max_delay_ms=args.max_delay_ms,
             max_queue_depth=args.queue_size,
-            degrade=degrade,
         )
         with server:
             return serve.run_closed_loop(
@@ -341,26 +365,8 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     )
 
     if args.json:
-        payload = {
-            "network": args.network,
-            "precision": spec.key,
-            "backend": backend_name,
-            "requests": args.requests,
-            "concurrency": args.concurrency,
-            "workers": args.workers,
-            "max_batch": args.max_batch,
-            "deadline_ms": deadline_ms,
-            "chaos_seed": args.chaos,
-            "memory_kb": float(servable.memory_kb),
-            "energy_uj_per_image": float(servable.energy_uj_per_image),
-            "report": dataclasses.asdict(result.report),
-            "retries": result.retries,
-            "client_errors": result.client_errors,
-            "deadline_expired": result.deadline_expired,
-            "lost": result.lost,
-            "accounted": result.accounted,
-            "submitted": result.submitted,
-        }
+        payload = _bench_payload(args, spec, backend_name, servable, result)
+        payload["workers"] = args.workers
         if rollout is not None:
             payload["registry"] = {
                 "root": art_store.root,
@@ -377,18 +383,9 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
         return 1 if failed else 0
 
-    print()
-    print(f"closed loop: {args.requests} requests, {args.concurrency} clients, "
-          f"{args.workers} workers, max batch {args.max_batch}")
-    print(result.report.format())
-    if result.retries:
-        print(f"backpressure retries    : {result.retries}")
-    if result.client_errors:
-        print(f"client errors           : {result.client_errors}")
-    if result.deadline_expired:
-        print(f"deadline expired        : {result.deadline_expired}")
-    if result.lost:
-        print(f"LOST futures            : {result.lost}")
+    _print_closed_loop(
+        args, f"{args.workers} workers", result.report.format(), result
+    )
     if injector is not None:
         fired = ", ".join(
             f"{site}:{count}" for site, count in sorted(injector.counts().items())
@@ -490,18 +487,14 @@ def _serve_bench_scenario(
     scenario_verdict, autotuned, static = result
 
     if args.json:
-        payload = {
-            "network": args.network,
-            "precision": spec.key,
-            "backend": backend_name,
+        payload = _bench_payload(args, spec, backend_name, servable)
+        payload.update({
             "concurrency_profile": [
                 {"phase": p.name, "duration_s": p.duration_s,
                  "concurrency": p.concurrency}
                 for p in scenario.phases
             ],
             "workers": args.workers,
-            "max_batch": args.max_batch,
-            "memory_kb": float(servable.memory_kb),
             "report": dataclasses.asdict(autotuned.report),
             "control": {
                 "scenario": scenario.name,
@@ -528,7 +521,7 @@ def _serve_bench_scenario(
                 ],
                 "knob_trajectory": autotuned.loop.knob_trajectory(),
             },
-        }
+        })
         print(json.dumps(payload, indent=2))
         return 0 if scenario_verdict.passed else 1
 
@@ -552,14 +545,11 @@ def _serve_bench_fleet(
     images,
     servable,
     spec,
-    degrade,
 ) -> int:
     """The ``serve-bench --replicas N`` path: multi-process fleet serving,
     optionally with a registry canary rollout riding the traffic."""
     deadline_ms = args.deadline_ms if args.deadline_ms > 0 else None
     warm = [(args.network, args.precision)]
-    if args.degrade:
-        warm.append((args.network, args.degrade))
     startup_artifact = None
     if channel is not None:
         entry = channel.active()
@@ -602,7 +592,7 @@ def _serve_bench_fleet(
             print(f"deterministic crash     : replica {crash_after[0]} "
                   f"after {crash_after[1]} batches")
 
-    fleet = serve.FleetServer(config, degrade=degrade)
+    fleet = serve.FleetServer(config)
     canary_report = None
     fleet.start(install_signal_handler=True)
     try:
@@ -661,22 +651,12 @@ def _serve_bench_fleet(
         failed = True
 
     if args.json:
-        payload = {
-            "network": args.network,
-            "precision": spec.key,
-            "backend": backend_name,
-            "requests": args.requests,
-            "concurrency": args.concurrency,
+        payload = _bench_payload(args, spec, backend_name, servable, result)
+        payload.update({
             "replicas": args.replicas,
             "routing": args.routing,
             "ring_slots": args.ring_slots,
-            "max_batch": args.max_batch,
-            "deadline_ms": deadline_ms,
-            "chaos_seed": args.chaos,
             "crash_after": args.crash_after or None,
-            "memory_kb": float(servable.memory_kb),
-            "energy_uj_per_image": float(servable.energy_uj_per_image),
-            "report": dataclasses.asdict(result.report),
             "replica_compute": dataclasses.asdict(freport.replica_compute),
             "fleet": {
                 "restarts": freport.restarts,
@@ -686,13 +666,7 @@ def _serve_bench_fleet(
                     for i, status in freport.replicas.items()
                 },
             },
-            "retries": result.retries,
-            "client_errors": result.client_errors,
-            "deadline_expired": result.deadline_expired,
-            "lost": result.lost,
-            "accounted": result.accounted,
-            "submitted": result.submitted,
-        }
+        })
         if canary_report is not None:
             payload["canary"] = {
                 "outcome": canary_report.outcome,
@@ -704,18 +678,9 @@ def _serve_bench_fleet(
         print(json.dumps(payload, indent=2))
         return 1 if failed else 0
 
-    print()
-    print(f"closed loop: {args.requests} requests, {args.concurrency} "
-          f"clients, {args.replicas} replicas, max batch {args.max_batch}")
-    print(freport.format())
-    if result.retries:
-        print(f"backpressure retries    : {result.retries}")
-    if result.client_errors:
-        print(f"client errors           : {result.client_errors}")
-    if result.deadline_expired:
-        print(f"deadline expired        : {result.deadline_expired}")
-    if result.lost:
-        print(f"LOST futures            : {result.lost}")
+    _print_closed_loop(
+        args, f"{args.replicas} replicas", freport.format(), result
+    )
     if canary_report is not None:
         decision = canary_report.decision
         print(f"canary outcome          : {canary_report.outcome} "
@@ -1401,12 +1366,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request queueing deadline (0 = none)")
     bench.add_argument("--chaos", type=int, default=None, metavar="SEED",
                        help="arm the seeded fault injector for the run")
-    bench.add_argument("--degrade", default="",
-                       choices=[""] + [s.key for s in PAPER_PRECISIONS],
-                       help="reroute to this precision when overloaded")
-    bench.add_argument("--degrade-watermark", type=int, default=0,
-                       help="queue depth that triggers degradation "
-                            "(default: queue-size // 2)")
     bench.add_argument("--skip-baseline", action="store_true",
                        help="skip the max-batch=1 comparison run")
     bench.add_argument("--autotune", action="store_true",

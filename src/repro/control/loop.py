@@ -92,7 +92,7 @@ class ControlLoop:
         and its token bucket becomes the admission gate.  Observe-only
         loops install nothing.
         """
-        if self.tuner is None or self.tuner.watermark_mode:
+        if self.tuner is None:
             return
         self.server.degrade = self.tuner
         self.server.admission = self.tuner.admission

@@ -23,17 +23,12 @@ Escalation order under a latency breach (cheapest reversible first):
 Relaxation when sustained-healthy runs the same ladder in reverse,
 additively: loosen (then lift) admission, tier back up, shrink the
 batch back toward its preferred size.
-
-The tuner also serves as a drop-in for the deprecated
-``resilience.DegradePolicy``: :meth:`AutoTuner.latency_only` builds one
-in *watermark mode*, whose :meth:`route` reproduces the old static
-queue-depth fallback semantics exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.control.admission import TokenBucket
 from repro.control.ladder import TierLadder
@@ -127,11 +122,6 @@ class AutoTuner:
         ladder: the precision tiers available for rerouting.
         knobs: actuator bounds/steps (default :class:`KnobConfig`).
         admission: token bucket to actuate (one is created if omitted).
-        watermark / fallback: legacy static-degrade compatibility —
-            when given, :meth:`route` applies the old
-            ``DegradePolicy`` semantics (reroute via the fallback map
-            at queue depth >= watermark) instead of tier state, and
-            :meth:`step` is a no-op.  Used by the deprecation shim.
     """
 
     def __init__(
@@ -140,29 +130,11 @@ class AutoTuner:
         ladder: TierLadder,
         knobs: Optional[KnobConfig] = None,
         admission: Optional[TokenBucket] = None,
-        watermark: Optional[int] = None,
-        fallback: Optional[Dict[str, str]] = None,
     ):
-        if (watermark is None) != (fallback is None):
-            raise ConfigurationError(
-                "watermark and fallback must be given together"
-            )
-        if watermark is not None:
-            if watermark < 1:
-                raise ConfigurationError("watermark must be >= 1")
-            if not fallback:
-                raise ConfigurationError("fallback map must be non-empty")
-            for source, target in fallback.items():
-                if source == target:
-                    raise ConfigurationError(
-                        f"fallback maps {source!r} to itself"
-                    )
         self.policy = policy
         self.ladder = ladder
         self.knobs = knobs or KnobConfig()
         self.admission = admission or TokenBucket()
-        self._watermark = watermark
-        self._fallback = dict(fallback) if fallback else {}
 
         # Controller state.
         self.tier_index = 0
@@ -174,11 +146,6 @@ class AutoTuner:
 
     # -- routing (the tier actuator) -----------------------------------
     @property
-    def watermark_mode(self) -> bool:
-        """True when emulating the legacy static ``DegradePolicy``."""
-        return self._watermark is not None
-
-    @property
     def precision(self) -> str:
         """The precision the current tier serves."""
         return self.ladder[self.tier_index].precision
@@ -186,17 +153,11 @@ class AutoTuner:
     def route(self, precision: str, queue_depth: int) -> str:
         """Pick the precision an admission is actually served at.
 
-        Plugs into the engines' ``degrade`` hook.  In watermark mode
-        this is the old static policy verbatim: at queue depth at or
-        above the watermark, requests whose precision has a fallback
-        are rerouted one step (chains are not followed).  In controller
-        mode, nominal-precision requests follow the current tier; other
-        precisions pass through untouched.
+        Plugs into the servers' ``degrade`` hook: nominal-precision
+        requests follow the current tier; other precisions pass through
+        untouched.  ``queue_depth`` is part of the hook's signature; the
+        tier already reflects the load the controller has seen.
         """
-        if self._watermark is not None:
-            if queue_depth >= self._watermark:
-                return self._fallback.get(precision, precision)
-            return precision
         if self.tier_index > 0 and precision == self.ladder[0].precision:
             return self.precision
         return precision
@@ -209,8 +170,6 @@ class AutoTuner:
         (dead band, streak not yet long enough, cooldown, idle window,
         or nothing left to move).
         """
-        if self._watermark is not None:
-            return None  # legacy static mode has no dynamics
         if not signal.has_traffic and signal.queue_depth == 0:
             # Idle window: no evidence either way.  Don't decay streaks
             # or cooldown on silence — a burst after a lull should meet
@@ -363,35 +322,7 @@ class AutoTuner:
                     deepest = max(deepest, index)
         return self.ladder.accuracy_drop(deepest)
 
-    # -- legacy construction -------------------------------------------
-    @classmethod
-    def latency_only(
-        cls, watermark: int, fallback: Dict[str, str]
-    ) -> "AutoTuner":
-        """Watermark-mode tuner backing the ``DegradePolicy`` shim.
-
-        Reproduces the static queue-depth degrade semantics exactly;
-        ``step`` never acts (the infinite latency SLO is never
-        breached, and watermark mode short-circuits it anyway).
-        """
-        precisions: List[str] = []
-        for source, target in fallback.items():
-            for key in (source, target):
-                if key not in precisions:
-                    precisions.append(key)
-        return cls(
-            policy=SLOPolicy(latency_slo_ms=float("inf")),
-            ladder=TierLadder.from_precisions(precisions),
-            watermark=watermark,
-            fallback=fallback,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        if self._watermark is not None:
-            return (
-                f"AutoTuner(watermark={self._watermark}, "
-                f"fallback={self._fallback!r})"
-            )
         return (
             f"AutoTuner(tier={self.precision!r}, batch={self.batch_size}, "
             f"admission={self.admission!r})"

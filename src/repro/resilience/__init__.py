@@ -1,4 +1,4 @@
-"""Robustness layer: deadlines, retries, fault injection, degradation.
+"""Robustness layer: deadlines, retries, fault injection.
 
 The ROADMAP's north star is a production-scale serving system; this
 subpackage supplies the failure-handling vocabulary the serving engine
@@ -17,23 +17,14 @@ subpackage supplies the failure-handling vocabulary the serving engine
     tests and ``repro serve-bench --chaos`` to prove every recovery
     path actually recovers.
 
-``DegradePolicy``
-    Overload shedding via the paper's own dial: past a queue-depth
-    watermark, new requests are rerouted to a configured
-    lower-precision servable of the same network — trading accuracy
-    for energy and throughput instead of rejecting traffic.
-    **Deprecated**: now a warn-once shim over
-    :meth:`repro.control.AutoTuner.latency_only` — the static
-    watermark grew into the closed-loop SLO autotuner in
-    :mod:`repro.control` (``docs/control.md``).
-
 Per-request deadlines (``InferenceServer.submit(..., deadline_ms=...)``
 raising :class:`~repro.errors.DeadlineExceededError`) live in
 :mod:`repro.serve`; this package documents and tests them alongside the
-pieces above.  See ``docs/resilience.md``.
+pieces above.  Shedding load by dropping precision is the tier knob
+of the closed-loop autotuner in :mod:`repro.control`
+(``docs/control.md``).  See ``docs/resilience.md``.
 """
 
-from repro.resilience.degrade import DegradePolicy
 from repro.resilience.faults import (
     SITES,
     FaultInjector,
@@ -45,7 +36,6 @@ from repro.resilience.faults import (
 from repro.resilience.retry import RetryPolicy, retry_call
 
 __all__ = [
-    "DegradePolicy",
     "FaultInjector",
     "RetryPolicy",
     "SITES",

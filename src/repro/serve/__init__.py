@@ -21,11 +21,18 @@ Components:
 ``Batcher`` / ``BatchPolicy``
     Bounded request queue with explicit backpressure and dynamic
     micro-batching (max batch size + max latency deadline).
+``Server``
+    The one request front end both engines share: validation, the
+    ``admission`` gate and ``degrade`` router (set on the server by
+    :meth:`repro.control.ControlLoop.install`; refusals raise
+    ``ServerOverloadedError`` and count as ``throttled``), request ids,
+    the batcher lanes, deadline expiry, result building, and
+    drain-or-abandon on ``stop``.
 ``InferenceServer``
-    Worker-thread engine with graceful drain; thread safety comes from
-    :meth:`repro.core.QuantizedNetwork.freeze`, which bakes quantized
-    parameter copies in so the inference path never mutates shared
-    state.
+    The in-process executor: worker threads with graceful drain; thread
+    safety comes from :meth:`repro.core.QuantizedNetwork.freeze`, which
+    bakes quantized parameter copies in so the inference path never
+    mutates shared state.
 ``ServerStats`` / ``StatsReport``
     p50/p95/p99 latency, throughput, queue depth, batch-size histogram
     and cumulative modeled energy.
@@ -33,14 +40,10 @@ Components:
     Closed-loop load generator backing ``python -m repro serve-bench``:
     records client-side per-request latencies, runs request- or
     time-bounded, and retries submissions the admission controller
-    throttles.  Both servers accept two optional control hooks — a
-    ``degrade`` router and an ``admission`` gate (checked in
-    ``submit``; refusals raise ``ServerOverloadedError`` and count as
-    ``throttled``) — which the closed-loop autotuner in
-    :mod:`repro.control` actuates (``docs/control.md``).
+    throttles.
 ``FleetServer`` / ``FleetConfig``
-    Multi-process sharded serving: N replica processes behind one
-    admission front-end, zero-copy shared-memory tensor handoff
+    The multi-process executor: N replica processes behind the same
+    front end, zero-copy shared-memory tensor handoff
     (``repro.serve.ipc``), heartbeat-driven crash recovery with
     in-flight resubmission, and per-replica canary deploys
     (``docs/serving.md`` has the topology).
@@ -54,14 +57,9 @@ from repro.serve.request import (
     ServeFuture,
 )
 from repro.serve.batcher import Batcher, BatchPolicy
-from repro.serve.stats import (
-    ServerStats,
-    StatsReport,
-    latency_percentiles,
-    merge_reports,
-)
+from repro.serve.stats import ServerStats, StatsReport
 from repro.serve.model_store import ModelStore, Servable
-from repro.serve.engine import InferenceServer
+from repro.serve.engine import InferenceServer, Server
 from repro.serve.ipc import (
     ReplicaRing,
     SlotDescriptor,
@@ -88,10 +86,9 @@ __all__ = [
     "PendingRequest",
     "ServerStats",
     "StatsReport",
-    "latency_percentiles",
-    "merge_reports",
     "ModelStore",
     "Servable",
+    "Server",
     "InferenceServer",
     "TensorRing",
     "ReplicaRing",

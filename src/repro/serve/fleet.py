@@ -2,11 +2,13 @@
 
 The in-process :class:`~repro.serve.InferenceServer` is capped by the
 GIL for everything that is not BLAS; this module shards the fleet
-across worker *processes* instead.  One front-end process keeps the
-whole admission story — the bounded :class:`~repro.serve.Batcher` with
-its per-lane micro-batching, deadlines, degrade rerouting and
-backpressure — and N replica processes each run a frozen
-:class:`~repro.core.QuantizedNetwork` with a resolved backend.  Batches
+across worker *processes* instead.  The front-end process runs the
+same request front end as the in-process engine
+(:class:`~repro.serve.engine.Server`: the bounded
+:class:`~repro.serve.Batcher` lanes with their micro-batching,
+deadlines, degrade rerouting and backpressure), and N replica
+processes each run a frozen :class:`~repro.core.QuantizedNetwork`
+with a resolved backend.  Batches
 cross the process boundary through preallocated
 ``multiprocessing.shared_memory`` slots (:mod:`repro.serve.ipc`), so
 the per-batch cost is one memcpy each way plus a tiny pickled
@@ -22,7 +24,7 @@ Topology::
                                       replica process pool
                                               │  logits in the same slot
                                               ▼
-                          receiver threads ──► futures / ServerStats
+                          receiver threads ──► Server._finish_batch
 
 Routing: ``shared`` (default) lets every replica's dispatcher pull
 from one batcher — work-stealing, best aggregate throughput; ``hash``
@@ -68,23 +70,15 @@ from repro.errors import (
     ConfigurationError,
     FleetNotReadyError,
     ReplicaCrashError,
-    ServerClosedError,
-    ServerOverloadedError,
     ServingError,
 )
 from repro.obs.metrics import get_metrics
-from repro.resilience.degrade import DegradePolicy
-from repro.serve.batcher import Batcher, BatchPolicy
+from repro.serve.batcher import Batcher
+from repro.serve.engine import Server
 from repro.serve.ipc import TensorRing
 from repro.serve.replica import ReplicaConfig, replica_main
-from repro.serve.request import (
-    InferenceRequest,
-    InferenceResult,
-    ModelKey,
-    PendingRequest,
-    ServeFuture,
-)
-from repro.serve.stats import ServerStats, StatsReport, merge_reports
+from repro.serve.request import InferenceResult, ModelKey, PendingRequest
+from repro.serve.stats import StatsReport, batch_report
 from repro.zoo.registry import NETWORK_BUILDERS
 
 __all__ = ["FleetConfig", "FleetServer", "FleetReport", "ReplicaStatus"]
@@ -153,10 +147,16 @@ class ReplicaStatus:
 
 @dataclass(frozen=True)
 class FleetReport:
-    """Fleet-wide stats: end-to-end view plus the merged replica view."""
+    """Fleet-wide stats: the end-to-end view plus the replica-side view.
+
+    ``replica_compute`` counts every batch a replica finished, crashed
+    incarnations included: the same completions, batch histogram and
+    energy as ``aggregate``, with each image's replica compute time as
+    its latency (and no queueing).
+    """
 
     aggregate: StatsReport            # front-end, end-to-end latencies
-    replica_compute: StatsReport      # merged replica-side (compute-only)
+    replica_compute: StatsReport      # replica-side, compute-only
     replicas: Dict[int, ReplicaStatus]
     restarts: int
     resubmissions: int
@@ -208,9 +208,9 @@ class _ReplicaHandle:
         self.completed = 0
         self.failed = 0
         self.latencies_ms: List[float] = []
+        #: one (size, compute_ms, energy_uj_per_image) per finished batch
+        self.batches: List[Tuple[int, float, float]] = []
         self.control_replies: "queue.Queue[dict]" = queue.Queue()
-        self.final_report: Optional[StatsReport] = None
-        self.final_samples: Tuple[List[float], List[float]] = ([], [])
         self.artifact: Optional[Tuple[str, str, str, int]] = None  # desired
         self.dead = False
 
@@ -218,10 +218,12 @@ class _ReplicaHandle:
         with self.send_lock:
             self.conn.send(message)
 
-    def record_result(self, latency_ms: float) -> None:
+    def record_batch(self, results: List[InferenceResult],
+                     compute_ms: float, energy_uj: float) -> None:
         with self.lock:
-            self.completed += 1
-            self.latencies_ms.append(latency_ms)
+            self.completed += len(results)
+            self.batches.append((len(results), compute_ms, energy_uj))
+            self.latencies_ms.extend(result.latency_ms for result in results)
             if len(self.latencies_ms) > 65536:
                 del self.latencies_ms[:32768]
 
@@ -230,42 +232,44 @@ class _ReplicaHandle:
             self.failed += count
 
 
-class FleetServer:
-    """Admission front-end over N replica processes.
+class FleetServer(Server):
+    """The request front end over N replica processes.
 
     Drop-in for :class:`~repro.serve.InferenceServer` on the client
-    side: ``start`` / ``submit`` / ``report`` / ``stop`` and the
-    context-manager protocol behave identically, so
-    :func:`repro.serve.run_closed_loop` drives either engine.
+    side — both are the same :class:`~repro.serve.engine.Server` — so
+    :func:`repro.serve.run_closed_loop` drives either engine.  With
+    ``hash`` routing there is one batcher lane per replica.  The ring
+    slots are sized by ``config.max_batch_size``, so a batch knob
+    applied to :attr:`batchers` must never exceed that bound.
     """
 
-    def __init__(
-        self,
-        config: Optional[FleetConfig] = None,
-        degrade: Optional[DegradePolicy] = None,
-        admission=None,
-    ):
+    # perfbench traces each engine's own ``__dict__["submit"]``
+    submit = Server.submit
+
+    def __init__(self, config: Optional[FleetConfig] = None):
         self.config = config or FleetConfig()
-        self.degrade = degrade
-        self.admission = admission
-        self.stats = ServerStats()
+        hashed = self.config.routing == "hash"
+        super().__init__(
+            self.config.max_batch_size,
+            self.config.max_delay_ms,
+            self.config.max_queue_depth,
+            lanes=self.config.replicas if hashed else 1,
+        )
         self.metrics = get_metrics()
         self._ctx = multiprocessing.get_context(self.config.start_method)
-        self._ids = itertools.count()
         self._seqs = itertools.count()
-        self._started = False
-        self._stopped = False
-        self._stopping = False
         self._token = None
         self._handles: List[_ReplicaHandle] = []
         self._dispatchers: List[threading.Thread] = []
         self._monitor: Optional[threading.Thread] = None
         self._monitor_stop = threading.Event()
-        self._batchers: List[Batcher] = []
-        self._hash_ring: List[Tuple[int, int]] = []
+        self._hash_ring: List[Tuple[int, int]] = (
+            self._build_hash_ring(self.config.replicas) if hashed else []
+        )
         self._restarts = 0
         self._resubmissions = 0
         self._state_lock = threading.Lock()
+        self._install_sigterm = False
         self._sigterm_installed = False
         self._previous_sigterm = None
         self._atexit_registered = False
@@ -274,30 +278,12 @@ class FleetServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self, install_signal_handler: bool = False) -> "FleetServer":
-        if self._started:
-            raise ConfigurationError("fleet already started")
-        if self._stopped:
-            raise ConfigurationError("fleet cannot be restarted after stop")
-        self._started = True
+        self._install_sigterm = install_signal_handler
+        return super().start()
+
+    def _launch(self) -> None:
         config = self.config
         image_floats = _max_image_floats()
-
-        n_batchers = config.replicas if config.routing == "hash" else 1
-        policy_args = dict(
-            max_batch_size=config.max_batch_size,
-            max_delay_ms=config.max_delay_ms,
-        )
-        self._batchers = [
-            Batcher(
-                BatchPolicy(**policy_args),
-                max_queue_depth=config.max_queue_depth,
-                on_expired=self._expire_pending,
-            )
-            for _ in range(n_batchers)
-        ]
-        if config.routing == "hash":
-            self._hash_ring = self._build_hash_ring(config.replicas)
-
         self._token = secrets.token_hex(4)
         for index in range(config.replicas):
             ring = TensorRing.for_batches(
@@ -308,7 +294,7 @@ class FleetServer:
             handle.artifact = config.startup_artifact
             self._handles.append(handle)
 
-        if install_signal_handler:
+        if self._install_sigterm:
             self._install_signal_handler()
         # Always registered: a fleet abandoned without stop() (a raised
         # exception between start and stop, say) must still leave
@@ -361,13 +347,6 @@ class FleetServer:
         )
         self._monitor.start()
         self.metrics.gauge("fleet.replicas_ready").set(len(self._handles))
-        return self
-
-    def __enter__(self) -> "FleetServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop(drain=exc_type is None)
 
     # -- spawning -------------------------------------------------------
     def _replica_config(self, handle: _ReplicaHandle,
@@ -490,74 +469,15 @@ class FleetServer:
         return self._batchers[0]
 
     # ------------------------------------------------------------------
-    # Client API (mirrors InferenceServer)
+    # Fleet views
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        image: np.ndarray,
-        network: str,
-        precision: str,
-        deadline_ms: Optional[float] = None,
-    ) -> ServeFuture:
-        image = np.asarray(image, dtype=np.float32)
-        if image.ndim != 3:
-            raise ConfigurationError(
-                f"expected one CHW image, got shape {image.shape}"
-            )
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ConfigurationError("deadline_ms must be positive")
-        if self.admission is not None and not self.admission.try_acquire():
-            self.stats.record_throttled()
-            raise ServerOverloadedError(
-                "admission controller is throttling; retry later"
-            )
-        degraded = False
-        if self.degrade is not None:
-            depth = sum(b.depth() for b in self._batchers)
-            routed = self.degrade.route(precision, depth)
-            if routed != precision:
-                precision = routed
-                degraded = True
-        now = time.monotonic()
-        request = InferenceRequest(
-            image=image,
-            model_key=ModelKey(network=network, precision=precision),
-            request_id=next(self._ids),
-            enqueued_at=now,
-            deadline_at=None if deadline_ms is None else now + deadline_ms / 1e3,
-        )
-        future = ServeFuture()
-        pending = PendingRequest(request=request, future=future)
-        try:
-            self._batcher_for_key(request.model_key).put(pending)
-        except Exception:
-            self.stats.record_rejection()
-            raise
-        self.stats.record_admission()
-        if degraded:
-            self.stats.record_degraded()
-        return future
-
-    @property
-    def batchers(self) -> List[Batcher]:
-        """Every front-end batcher (one per hash lane, or a single shared
-        queue) — the uniform surface the control loop actuates.  Note the
-        fleet's ring slots are sized by ``config.max_batch_size``, so a
-        batch knob applied here must never exceed that bound."""
-        return list(self._batchers)
-
-    def report(self) -> StatsReport:
-        return self.stats.report()
-
     def fleet_report(self) -> FleetReport:
-        replica_reports: List[StatsReport] = []
-        replica_samples: List[Tuple[List[float], List[float]]] = []
+        aggregate = self.report()
+        batches: List[Tuple[int, float, float]] = []
         statuses: Dict[int, ReplicaStatus] = {}
         for handle in self._handles:
-            if handle.final_report is not None:
-                replica_reports.append(handle.final_report)
-                replica_samples.append(handle.final_samples)
             with handle.lock:
+                batches.extend(handle.batches)
                 statuses[handle.index] = ReplicaStatus(
                     index=handle.index,
                     pid=None if handle.process is None else handle.process.pid,
@@ -574,8 +494,11 @@ class FleetServer:
                     ),
                 )
         return FleetReport(
-            aggregate=self.report(),
-            replica_compute=merge_reports(replica_reports, replica_samples),
+            aggregate=aggregate,
+            replica_compute=batch_report(
+                batches, aggregate.wall_s,
+                failed=sum(status.failed for status in statuses.values()),
+            ),
             replicas=statuses,
             restarts=self._restarts,
             resubmissions=self._resubmissions,
@@ -665,18 +588,6 @@ class FleetServer:
     # ------------------------------------------------------------------
     # Dispatch / receive / monitor threads
     # ------------------------------------------------------------------
-    def _expire_pending(self, expired: List[PendingRequest]) -> None:
-        from repro.errors import DeadlineExceededError
-
-        for pending in expired:
-            pending.future.set_exception(
-                DeadlineExceededError(
-                    f"request {pending.request.request_id} missed its "
-                    "deadline before a replica picked it up"
-                )
-            )
-        self.stats.record_deadline_expired(len(expired))
-
     def _total_in_flight(self) -> int:
         total = 0
         for handle in self._handles:
@@ -786,13 +697,6 @@ class FleetServer:
             if kind in ("deployed", "deploy_error"):
                 handle.control_replies.put(message)
                 continue
-            if kind == "stats":
-                handle.final_report = message.get("report")
-                handle.final_samples = (
-                    message.get("latencies_ms", []),
-                    message.get("queue_ms", []),
-                )
-                continue
             if kind == "done":
                 self._complete(handle, message)
             elif kind == "error":
@@ -809,7 +713,6 @@ class FleetServer:
         if entry is None:
             return  # already reclaimed by crash recovery
         slot, batch, dispatched_at = entry
-        finished_at = time.monotonic()
         try:
             logits = handle.ring.read_output(
                 slot, int(message["n"]), int(message["n_out"]),
@@ -817,40 +720,19 @@ class FleetServer:
             )
         except (ConfigurationError, ServingError) as error:
             handle.ring.release(slot)
-            for pending in batch:
-                pending.future.set_exception(error)
-            self.stats.record_failure(len(batch))
+            self._fail_batch(batch, error)
             handle.record_failed(len(batch))
             return
         handle.ring.release(slot)
-        queue_depth = sum(b.depth() for b in self._batchers)
-        self.stats.record_batch(len(batch), queue_depth)
-        digest = message.get("registry_digest")
-        if digest:
-            key = batch[0].model_key
-            self.stats.record_artifact(
-                f"{key.network}@{key.precision}", digest,
-                message.get("registry_version"),
-            )
-        energy = float(message.get("energy_uj_per_image", 0.0))
-        for row, pending in enumerate(batch):
-            request = pending.request
-            result = InferenceResult(
-                request_id=request.request_id,
-                logits=logits[row].copy(),
-                model_key=request.model_key,
-                batch_size=len(batch),
-                queue_ms=(dispatched_at - request.enqueued_at) * 1e3,
-                latency_ms=(finished_at - request.enqueued_at) * 1e3,
-                energy_uj=energy,
-            )
-            self.stats.record_completion(
-                latency_ms=result.latency_ms,
-                queue_ms=result.queue_ms,
-                energy_uj=energy,
-            )
-            handle.record_result(result.latency_ms)
-            pending.future.set_result(result)
+        compute_ms = float(message["compute_ms"])
+        energy = float(message["energy_uj_per_image"])
+        self._finish_batch(
+            batch, logits, dispatched_at, energy,
+            message["registry_digest"], message["registry_version"],
+            before_resolve=lambda results: handle.record_batch(
+                results, compute_ms, energy
+            ),
+        )
         self.metrics.counter("fleet.completed_batches").inc()
 
     def _fail(self, handle: _ReplicaHandle, message: dict) -> None:
@@ -865,9 +747,7 @@ class FleetServer:
         error = message.get("error") or ServingError(
             f"replica {handle.index} failed a batch"
         )
-        for pending in batch:
-            pending.future.set_exception(error)
-        self.stats.record_failure(len(batch))
+        self._fail_batch(batch, error)
         handle.record_failed(len(batch))
 
     def _resubmit(self, batch: List[PendingRequest]) -> None:
@@ -959,32 +839,14 @@ class FleetServer:
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
-    def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop admissions, drain (default) or fail queued work, tear
-        down replicas, and unlink every shared-memory segment."""
-        if self._stopped:
-            return
-        self._stopping = True
-        for batcher in self._batchers:
-            batcher.close()
-        if not drain:
-            abandoned: List[PendingRequest] = []
-            for batcher in self._batchers:
-                abandoned.extend(batcher.pop_all())  # type: ignore[arg-type]
-            for pending in abandoned:
-                pending.future.set_exception(
-                    ServerClosedError("server stopped before this request ran")
-                )
-            if abandoned:
-                self.stats.record_failure(len(abandoned))
-        deadline = (
-            time.monotonic() + timeout if timeout is not None
-            else time.monotonic() + 120.0
-        )
+    def _shutdown(self, timeout: Optional[float]) -> None:
+        """Wait for queued and in-flight work (``timeout``, default
+        120 s), tear down replicas, and unlink every shared-memory
+        segment."""
+        deadline = time.monotonic() + (120.0 if timeout is None else timeout)
         # wait for queues + in-flight work to drain
         while time.monotonic() < deadline:
-            queued = sum(b.depth() for b in self._batchers)
-            if queued == 0 and self._total_in_flight() == 0:
+            if self._depth() == 0 and self._total_in_flight() == 0:
                 break
             time.sleep(0.01)
         self._stopped = True
@@ -993,7 +855,7 @@ class FleetServer:
         self._monitor_stop.set()
         if self._monitor is not None:
             self._monitor.join(timeout=2.0)
-        # now tear down replicas and collect their final stats
+        # now tear down the replicas
         with self._state_lock:
             for handle in self._handles:
                 try:

@@ -34,7 +34,7 @@ from repro.errors import (
     ResultTimeoutError,
     ServerOverloadedError,
 )
-from repro.serve.engine import InferenceServer
+from repro.serve.engine import Server
 from repro.serve.stats import StatsReport
 
 
@@ -61,7 +61,7 @@ class LoadResult:
 
 
 def run_closed_loop(
-    server: InferenceServer,
+    server: Server,
     images: np.ndarray,
     network: str,
     precision: str,

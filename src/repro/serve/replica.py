@@ -11,15 +11,16 @@ control pipe:
 ``infer``
     read the batch from the slot named in the descriptor, run one
     forward pass, write the logits back into the slot's output region,
-    reply ``done`` (or ``error`` carrying the pickled typed exception).
+    reply ``done`` with the batch size, compute time and modeled
+    energy per image (or ``error`` carrying the pickled typed
+    exception).  The front end keeps all serving stats.
 ``deploy``
     build a registry artifact (by digest) into the local model store —
     the per-replica half of a canary rollout.  ``sabotage`` in the
     command arms ``engine.forward`` raise-faults on this replica's
     injector, which is how chaos tests force a regressing canary.
 ``stop``
-    reply with a final stats snapshot (report + raw latency samples for
-    exact percentile merging) and exit the loop.
+    exit the loop.
 
 Heartbeats are sent from a daemon thread every
 ``ReplicaConfig.heartbeat_s`` so the front-end's monitor can tell a
@@ -40,7 +41,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FaultInjectedError
 from repro.serve.ipc import ReplicaRing, SlotDescriptor
-from repro.serve.stats import ServerStats
 
 __all__ = ["ReplicaConfig", "replica_main", "CRASH_EXIT_CODE"]
 
@@ -120,7 +120,6 @@ def replica_main(config: ReplicaConfig, conn) -> None:
         seed=config.seed,
         backend=config.backend,
     )
-    stats = ServerStats()
     ring = ReplicaRing(config.segment_names, config.input_bytes)
     sabotage_armed = False
 
@@ -178,14 +177,6 @@ def replica_main(config: ReplicaConfig, conn) -> None:
             message = conn.recv()
             kind = message.get("type")
             if kind == "stop":
-                report = stats.report()
-                latencies, queue_ms = stats.samples()
-                sender.send({
-                    "type": "stats",
-                    "report": report,
-                    "latencies_ms": latencies,
-                    "queue_ms": queue_ms,
-                })
                 return
             if kind == "deploy":
                 try:
@@ -208,7 +199,6 @@ def replica_main(config: ReplicaConfig, conn) -> None:
                 dtype=str(message["dtype"]),
             )
             seq = int(message["seq"])
-            stats.record_admission()
             try:
                 # The crash site injects *process death*: the front-end
                 # must detect it via heartbeat/EOF, respawn this replica
@@ -232,24 +222,10 @@ def replica_main(config: ReplicaConfig, conn) -> None:
                 compute_ms = 1000.0 * (time.perf_counter() - started)
                 n_out, out_dtype = ring.write_output(desc, logits)
             except BaseException as error:  # noqa: BLE001 - shipped to parent
-                stats.record_failure(desc.n)
                 sender.send({"type": "error", "seq": seq, "slot": desc.slot,
                             "error": error})
                 continue
             batches_served += 1
-            stats.record_batch(desc.n, 0)
-            for _ in range(desc.n):
-                stats.record_completion(
-                    latency_ms=compute_ms,
-                    queue_ms=0.0,
-                    energy_uj=servable.energy_uj_per_image,
-                )
-            if servable.registry_digest is not None:
-                stats.record_artifact(
-                    f"{message['network']}@{message['precision']}",
-                    servable.registry_digest,
-                    servable.registry_version,
-                )
             sender.send({
                 "type": "done",
                 "seq": seq,

@@ -134,10 +134,6 @@ class ServerStats:
             if self._first_admit is None:
                 self._first_admit = now
 
-    # Backwards-compatible name from when the engine stamped the clock
-    # before the queue accepted the request.
-    record_submission = record_admission
-
     def record_rejection(self) -> None:
         with self._lock:
             self._rejected += 1
@@ -237,17 +233,6 @@ class ServerStats:
         with self._lock:
             return list(self._latencies_ms[start:]), len(self._latencies_ms)
 
-    def samples(self) -> Tuple[List[float], List[float]]:
-        """Raw (latency_ms, queue_ms) per-request samples, copied.
-
-        Fleet replicas ship these alongside their :class:`StatsReport`
-        so the front-end can merge percentiles *exactly* (pooling the
-        samples) instead of averaging each replica's p99 — see
-        :func:`merge_reports`.
-        """
-        with self._lock:
-            return list(self._latencies_ms), list(self._queue_ms)
-
     def snapshot(self) -> Dict[str, object]:
         """Point-in-time dict of the serving counters and percentiles.
 
@@ -261,42 +246,23 @@ class ServerStats:
     def report(self) -> StatsReport:
         """Consistent point-in-time report (percentiles computed here)."""
         with self._lock:
-            latencies = np.asarray(self._latencies_ms, dtype=np.float64)
-            queue_ms = np.asarray(self._queue_ms, dtype=np.float64)
-            completed = int(latencies.size)
             wall_s = 0.0
             if self._first_admit is not None and self._last_complete is not None:
                 wall_s = max(self._last_complete - self._first_admit, 0.0)
-            n_batches = sum(self._batch_sizes.values())
-            batched_images = sum(
-                size * count for size, count in self._batch_sizes.items()
-            )
-
-            def percentile(p: float) -> float:
-                return float(np.percentile(latencies, p)) if completed else 0.0
-
-            return StatsReport(
-                completed=completed,
+            return _report(
+                np.asarray(self._latencies_ms, dtype=np.float64),
+                dict(self._batch_sizes),
+                self._energy_uj,
+                wall_s,
+                queue_ms_mean=(
+                    float(np.mean(self._queue_ms)) if self._queue_ms else 0.0
+                ),
                 rejected=self._rejected,
                 failed=self._failed,
                 deadline_expired=self._deadline_expired,
                 degraded=self._degraded,
                 throttled=self._throttled,
-                wall_s=wall_s,
-                throughput_ips=completed / wall_s if wall_s > 0 else 0.0,
-                latency_ms_mean=float(latencies.mean()) if completed else 0.0,
-                latency_ms_p50=percentile(50),
-                latency_ms_p95=percentile(95),
-                latency_ms_p99=percentile(99),
-                latency_ms_max=float(latencies.max()) if completed else 0.0,
-                queue_ms_mean=float(queue_ms.mean()) if queue_ms.size else 0.0,
-                batch_histogram=dict(self._batch_sizes),
-                mean_batch_size=batched_images / n_batches if n_batches else 0.0,
                 max_queue_depth=self._max_queue_depth,
-                energy_uj_total=float(self._energy_uj),
-                energy_uj_per_image=(
-                    float(self._energy_uj) / completed if completed else 0.0
-                ),
                 served_artifacts={
                     key: dict(info)
                     for key, info in self._served_artifacts.items()
@@ -304,160 +270,62 @@ class ServerStats:
             )
 
 
-def _weighted_percentile(
-    values: np.ndarray, weights: np.ndarray, p: float
-) -> float:
-    """Percentile of a weighted sample set (linear interpolation).
-
-    Used only for the degraded merge path where raw samples are not
-    available: each part contributes its own percentile value weighted
-    by how many requests backed it.  An approximation — exact pooling
-    via raw samples is always preferred — but strictly better than the
-    unweighted mean of percentiles, which lets a 10-request replica
-    drag the fleet p99 as hard as a 10000-request one.
-    """
-    if len(values) == 0:
-        return 0.0
-    order = np.argsort(values)
-    values = values[order]
-    weights = weights[order].astype(np.float64)
-    total = float(weights.sum())
-    if total <= 0.0:
-        # Every contributing part served zero requests; dividing by the
-        # zero weight sum used to yield NaN percentiles.  Nothing was
-        # measured, so report 0.0 like the empty-report percentiles do.
-        return 0.0
-    cum = np.cumsum(weights) - 0.5 * weights
-    cum /= total
-    return float(np.interp(p / 100.0, cum, values))
-
-
-def merge_reports(
-    parts: Sequence[StatsReport],
-    samples: Optional[Sequence[Tuple[Sequence[float], Sequence[float]]]] = None,
+def batch_report(
+    batches: Sequence[Tuple[int, float, float]],
+    wall_s: float,
+    failed: int = 0,
 ) -> StatsReport:
-    """Aggregate per-replica :class:`StatsReport` s into one fleet view.
+    """Report over whole batches of ``(size, latency_ms, energy_uj_per_image)``.
 
-    The trap this function exists to avoid is averages-of-averages: a
-    fleet's p99 is *not* the mean of replica p99s, and energy per
-    request is *not* the mean of per-replica energy means when replicas
-    served different request counts.  Counters are summed; energy per
-    image is recomputed as total energy over total completions; batch
-    histograms are added; ``wall_s`` is the maximum part wall (replicas
-    run concurrently, so the fleet's span is the longest replica span)
-    and throughput is total completions over that shared wall.
-
-    Percentiles merge in one of two ways:
-
-    * ``samples`` given (one ``(latencies_ms, queue_ms)`` pair per
-      part, as shipped by replicas at shutdown): the samples are pooled
-      and the percentiles recomputed exactly.
-    * otherwise: weighted percentile merge — each part's percentile
-      enters a weighted quantile with weight = its completion count.
-      Approximate, clearly better than unweighted averaging, and only
-      used when a replica died before shipping its samples.
+    Every image counts its batch's latency, so the fleet builds its
+    replica-side compute view from one record per batch rather than
+    one per image.
     """
-    # Validate alignment against the ORIGINAL part list, then drop dead
-    # replicas (a ``None`` report) together with their sample slot.
-    # Filtering parts first used to either raise spuriously (the dead
-    # replica's sample slot was still present) or silently pool samples
-    # against the wrong report.
-    if samples is not None and len(samples) != len(parts):
-        raise ValueError(
-            f"{len(parts)} reports but {len(samples)} sample sets"
-        )
-    if samples is not None:
-        kept = [(p, s) for p, s in zip(parts, samples) if p is not None]
-        parts = [p for p, _ in kept]
-        samples = [s for _, s in kept]
-    else:
-        parts = [p for p in parts if p is not None]
-    if not parts:
-        return ServerStats(metrics=MetricsRegistry()).report()
-
-    completed = sum(p.completed for p in parts)
-    energy_total = float(sum(p.energy_uj_total for p in parts))
-    wall_s = max(p.wall_s for p in parts)
-    histogram: Counter = Counter()
-    for p in parts:
-        histogram.update({int(k): v for k, v in p.batch_histogram.items()})
-    n_batches = sum(histogram.values())
-    batched_images = sum(size * count for size, count in histogram.items())
-
-    artifacts: Dict[str, Dict[str, object]] = {}
-    for p in parts:
-        for key, info in p.served_artifacts.items():
-            entry = artifacts.setdefault(
-                key, {"digest": info.get("digest"),
-                      "version": info.get("version"), "batches": 0}
-            )
-            if entry.get("digest") == info.get("digest"):
-                entry["batches"] = int(entry["batches"]) + int(info["batches"])
-            else:  # a canary split: keep the most-served digest's entry
-                if int(info["batches"]) > int(entry["batches"]):
-                    artifacts[key] = dict(info)
-
-    if samples is not None:
-        pooled_lat = np.concatenate([
-            np.asarray(list(s[0]), dtype=np.float64) for s in samples
-        ]) if any(len(s[0]) for s in samples) else np.empty(0)
-        pooled_queue = np.concatenate([
-            np.asarray(list(s[1]), dtype=np.float64) for s in samples
-        ]) if any(len(s[1]) for s in samples) else np.empty(0)
-
-        def pct(p: float) -> float:
-            return float(np.percentile(pooled_lat, p)) if pooled_lat.size else 0.0
-
-        latency_mean = float(pooled_lat.mean()) if pooled_lat.size else 0.0
-        latency_max = float(pooled_lat.max()) if pooled_lat.size else 0.0
-        queue_mean = float(pooled_queue.mean()) if pooled_queue.size else 0.0
-        p50, p95, p99 = pct(50), pct(95), pct(99)
-    else:
-        weights = np.asarray([p.completed for p in parts], dtype=np.float64)
-        if weights.sum() <= 0:
-            weights = np.ones(len(parts))
-
-        def wpct(attr: str, p: float) -> float:
-            values = np.asarray([getattr(part, attr) for part in parts])
-            return _weighted_percentile(values, weights, p)
-
-        latency_mean = float(np.average(
-            [p.latency_ms_mean for p in parts], weights=weights))
-        latency_max = max(p.latency_ms_max for p in parts)
-        queue_mean = float(np.average(
-            [p.queue_ms_mean for p in parts], weights=weights))
-        p50 = wpct("latency_ms_p50", 50)
-        p95 = wpct("latency_ms_p95", 95)
-        p99 = wpct("latency_ms_p99", 99)
-
-    return StatsReport(
-        completed=completed,
-        rejected=sum(p.rejected for p in parts),
-        failed=sum(p.failed for p in parts),
-        deadline_expired=sum(p.deadline_expired for p in parts),
-        degraded=sum(p.degraded for p in parts),
-        throttled=sum(p.throttled for p in parts),
-        wall_s=wall_s,
-        throughput_ips=completed / wall_s if wall_s > 0 else 0.0,
-        latency_ms_mean=latency_mean,
-        latency_ms_p50=p50,
-        latency_ms_p95=p95,
-        latency_ms_p99=p99,
-        latency_ms_max=latency_max,
-        queue_ms_mean=queue_mean,
-        batch_histogram=dict(histogram),
-        mean_batch_size=batched_images / n_batches if n_batches else 0.0,
-        max_queue_depth=max(p.max_queue_depth for p in parts),
-        energy_uj_total=energy_total,
-        energy_uj_per_image=energy_total / completed if completed else 0.0,
-        served_artifacts=artifacts,
+    sizes = np.array([size for size, _, _ in batches], dtype=np.int64)
+    latencies = np.repeat(
+        np.array([ms for _, ms, _ in batches], dtype=np.float64), sizes
+    )
+    return _report(
+        latencies,
+        dict(Counter(sizes.tolist())),
+        sum(size * energy for size, _, energy in batches),
+        wall_s,
+        failed=failed,
     )
 
 
-def latency_percentiles(latencies_ms: List[float]) -> Tuple[float, float, float]:
-    """(p50, p95, p99) helper for ad-hoc measurements outside the stats
-    object (used by the benchmark drivers)."""
-    if not latencies_ms:
-        return (0.0, 0.0, 0.0)
-    array = np.asarray(latencies_ms, dtype=np.float64)
-    return tuple(float(np.percentile(array, p)) for p in (50, 95, 99))  # type: ignore[return-value]
+def _report(
+    latencies: np.ndarray,
+    batch_sizes: Dict[int, int],
+    energy_uj: float,
+    wall_s: float,
+    **fields,
+) -> StatsReport:
+    """The report over per-image ``latencies`` and the batches that ran them;
+    ``fields`` sets the counters (zero when omitted)."""
+    completed = int(latencies.size)
+    n_batches = sum(batch_sizes.values())
+    batched_images = sum(size * count for size, count in batch_sizes.items())
+
+    def percentile(p: float) -> float:
+        return float(np.percentile(latencies, p)) if completed else 0.0
+
+    defaults = dict(
+        rejected=0, failed=0, deadline_expired=0, degraded=0, throttled=0,
+        queue_ms_mean=0.0, max_queue_depth=0,
+    )
+    return StatsReport(
+        completed=completed,
+        wall_s=wall_s,
+        throughput_ips=completed / wall_s if wall_s > 0 else 0.0,
+        latency_ms_mean=float(latencies.mean()) if completed else 0.0,
+        latency_ms_p50=percentile(50),
+        latency_ms_p95=percentile(95),
+        latency_ms_p99=percentile(99),
+        latency_ms_max=float(latencies.max()) if completed else 0.0,
+        batch_histogram=batch_sizes,
+        mean_batch_size=batched_images / n_batches if n_batches else 0.0,
+        energy_uj_total=float(energy_uj),
+        energy_uj_per_image=float(energy_uj) / completed if completed else 0.0,
+        **{**defaults, **fields},
+    )

@@ -26,7 +26,7 @@ def test_validation():
 
 
 def test_infinite_slo_is_legal():
-    # the DegradePolicy shim builds a latency-only tuner this way
+    # a tuner that only ever moves on energy is built this way
     policy = SLOPolicy(latency_slo_ms=float("inf"))
     assert not policy.breached(1e12)
 

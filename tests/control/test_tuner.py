@@ -223,29 +223,6 @@ def test_accuracy_loss_bound_tracks_deepest_tier():
     assert tuner.accuracy_loss_bound() == pytest.approx(0.95 - 0.85)
 
 
-def test_watermark_mode_matches_legacy_degrade_semantics():
-    tuner = AutoTuner.latency_only(
-        watermark=10, fallback={"fixed8": "fixed4", "fixed4": "fixed2"}
-    )
-    assert tuner.watermark_mode
-    assert tuner.route("fixed8", 9) == "fixed8"
-    assert tuner.route("fixed8", 10) == "fixed4"   # inclusive watermark
-    assert tuner.route("fixed8", 500) == "fixed4"  # chains not followed
-    assert tuner.route("float32", 500) == "float32"
-    # and the dynamics are inert
-    assert tuner.step(make_signal(0, 1e9)) is None
-    assert tuner.actions == []
-
-
-def test_watermark_mode_validation():
-    with pytest.raises(ConfigurationError):
-        AutoTuner.latency_only(watermark=0, fallback={"fixed8": "fixed4"})
-    with pytest.raises(ConfigurationError):
-        AutoTuner.latency_only(watermark=4, fallback={})
-    with pytest.raises(ConfigurationError):
-        AutoTuner.latency_only(watermark=4, fallback={"fixed8": "fixed8"})
-
-
 def test_knob_config_validation():
     with pytest.raises(ConfigurationError):
         KnobConfig(min_batch=8, preferred_batch=4)

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.control import AutoTuner, SLOPolicy, TierLadder
 from repro.data import load_dataset
 from repro.errors import (
     ConfigurationError,
@@ -15,7 +16,7 @@ from repro.errors import (
     ShapeError,
     WorkerStallError,
 )
-from repro.resilience import DegradePolicy, FaultInjector
+from repro.resilience import FaultInjector
 from repro.serve import InferenceServer, ModelStore, run_closed_loop
 
 
@@ -33,6 +34,18 @@ def calibration(digits_images):
 @pytest.fixture()
 def store(calibration):
     return ModelStore(calibration_data=calibration, calibration_images=32)
+
+
+def test_server_keeps_the_exact_store_it_was_given():
+    """Regression: an empty store is falsy (``ModelStore`` has
+    ``__len__``), and ``store or ModelStore()`` swapped a cold store
+    for a default one, dropping its seed and calibration budget."""
+    store = ModelStore(calibration_images=8, seed=3)
+    assert len(store) == 0
+    server = InferenceServer(store, workers=1)
+    assert server.store is store
+    assert server.store.calibration_images == 8
+    assert server.store.seed == 3
 
 
 def test_batched_results_match_direct_inference(store, digits_images):
@@ -202,20 +215,28 @@ def test_generous_deadline_never_fires(store, digits_images):
     assert server.report().completed == 16
 
 
+def fixed8_to_fixed4_tuner() -> AutoTuner:
+    return AutoTuner(
+        SLOPolicy(latency_slo_ms=50.0),
+        TierLadder.from_precisions(["fixed8", "fixed4"]),
+    )
+
+
 def test_overload_degrades_to_lower_precision(store, digits_images):
     full = store.warm("lenet_small", "fixed8")
     low = store.warm("lenet_small", "fixed4")
-    policy = DegradePolicy(watermark=2, fallback={"fixed8": "fixed4"})
-    server = InferenceServer(store, workers=1, degrade=policy)
-    # the server is not started yet, so submissions pile up in the queue
-    futures = [
-        server.submit(digits_images[i], "lenet_small", "fixed8")
-        for i in range(4)
-    ]
+    tuner = fixed8_to_fixed4_tuner()
+    server = InferenceServer(store, workers=1)
+    server.degrade = tuner
+    futures = []
+    for i in range(4):
+        if i == 2:
+            tuner.tier_index = 1  # the controller steps one tier down
+        futures.append(server.submit(digits_images[i], "lenet_small", "fixed8"))
     server.start()
     results = [future.result(timeout=30.0) for future in futures]
     server.stop()
-    # below the watermark: served as asked; above it: degraded
+    # at tier 0: served as asked; one tier down: degraded
     assert [r.model_key.precision for r in results] == [
         "fixed8", "fixed8", "fixed4", "fixed4"
     ]
@@ -227,9 +248,11 @@ def test_overload_degrades_to_lower_precision(store, digits_images):
 
 
 def test_degradation_leaves_unmapped_precisions_alone(store, digits_images):
-    policy = DegradePolicy(watermark=1, fallback={"fixed8": "fixed4"})
+    tuner = fixed8_to_fixed4_tuner()
+    tuner.tier_index = 1
     store.warm("lenet_small", "float32")
-    server = InferenceServer(store, workers=1, degrade=policy)
+    server = InferenceServer(store, workers=1)
+    server.degrade = tuner
     futures = [
         server.submit(digits_images[i], "lenet_small", "float32")
         for i in range(3)

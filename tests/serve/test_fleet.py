@@ -145,6 +145,42 @@ def test_crash_and_sigkill_lose_nothing():
     assert scan_segments(fleet._token) == []
 
 
+def test_replica_compute_counts_crashed_incarnations():
+    """Regression: a crashed replica never sent its stop-time stats, so
+    the replica-side view dropped every batch that incarnation served."""
+    import time
+
+    config = FleetConfig(
+        replicas=2,
+        warm=[("lenet_small", "fixed8")],
+        calibration_images=8,
+        seed=0,
+        max_batch_size=4,
+        crash_replica_after=(1, 2),   # replica 1 dies after 2 batches
+    )
+    fleet = FleetServer(config)
+    fleet.start()
+    try:
+        futures = []
+        for image in make_images(48, seed=4):
+            futures.append(fleet.submit(image, "lenet_small", "fixed8"))
+            time.sleep(0.002)
+        for future in futures:
+            future.result(timeout=120.0)
+    finally:
+        fleet.stop()
+    report = fleet.fleet_report()
+    aggregate, compute = report.aggregate, report.replica_compute
+    assert report.restarts >= 1
+    assert aggregate.completed == 48
+    assert compute.completed == aggregate.completed
+    assert compute.batch_histogram == aggregate.batch_histogram
+    assert compute.energy_uj_total == pytest.approx(aggregate.energy_uj_total)
+    # compute time is part of every image's end-to-end latency
+    assert 0.0 < compute.latency_ms_max <= aggregate.latency_ms_max
+    assert compute.queue_ms_mean == 0.0
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         FleetConfig(replicas=0)

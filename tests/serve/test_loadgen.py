@@ -67,9 +67,9 @@ def test_duration_validation(store, digits_images):
 
 def test_admission_gate_throttles_submissions(store, digits_images):
     bucket = TokenBucket(rate_ips=1e-3, burst=2.0)  # two tokens, then shut
-    with InferenceServer(
-        store, workers=2, max_batch_size=8, admission=bucket
-    ) as server:
+    server = InferenceServer(store, workers=2, max_batch_size=8)
+    server.admission = bucket
+    with server:
         futures = [
             server.submit(digits_images[i], "lenet_small", "fixed8")
             for i in range(2)
@@ -89,9 +89,9 @@ def test_closed_loop_retries_through_throttling(store, digits_images):
     # a tight-but-liveable rate: the closed loop must finish, with the
     # throttles surfacing as retries rather than failures
     bucket = TokenBucket(rate_ips=200.0, burst=4.0)
-    with InferenceServer(
-        store, workers=2, max_batch_size=8, admission=bucket
-    ) as server:
+    server = InferenceServer(store, workers=2, max_batch_size=8)
+    server.admission = bucket
+    with server:
         result = run_closed_loop(
             server, digits_images, "lenet_small", "fixed8",
             n_requests=32, concurrency=8,
@@ -103,9 +103,9 @@ def test_closed_loop_retries_through_throttling(store, digits_images):
 
 
 def test_unlimited_bucket_is_transparent(store, digits_images):
-    with InferenceServer(
-        store, workers=2, max_batch_size=8, admission=TokenBucket()
-    ) as server:
+    server = InferenceServer(store, workers=2, max_batch_size=8)
+    server.admission = TokenBucket()
+    with server:
         result = run_closed_loop(
             server, digits_images, "lenet_small", "fixed8",
             n_requests=16, concurrency=4,

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.obs import MetricsRegistry
-from repro.serve import ServerStats, latency_percentiles
+from repro.serve import ServerStats
 
 
 def _isolated_stats() -> ServerStats:
@@ -23,7 +23,7 @@ def test_empty_report_is_all_zero():
 
 def test_percentiles_and_energy_accumulate():
     stats = _isolated_stats()
-    stats.record_submission()
+    stats.record_admission()
     for latency in range(1, 101):  # 1..100 ms
         stats.record_completion(latency_ms=float(latency), queue_ms=0.5,
                                 energy_uj=2.0)
@@ -61,7 +61,7 @@ def test_rejections_and_failures_counted():
 
 def test_report_format_mentions_key_metrics():
     stats = _isolated_stats()
-    stats.record_submission()
+    stats.record_admission()
     stats.record_batch(4, queue_depth=2)
     stats.record_completion(latency_ms=3.0, queue_ms=1.0, energy_uj=1.5)
     text = stats.report().format()
@@ -72,7 +72,7 @@ def test_report_format_mentions_key_metrics():
 
 def test_snapshot_is_plain_dict_matching_report():
     stats = _isolated_stats()
-    stats.record_submission()
+    stats.record_admission()
     stats.record_batch(2, queue_depth=1)
     stats.record_completion(latency_ms=4.0, queue_ms=1.0, energy_uj=1.0)
     stats.record_completion(latency_ms=6.0, queue_ms=2.0, energy_uj=1.0)
@@ -144,20 +144,3 @@ def test_deadline_and_degraded_counters_flow_to_report_and_metrics():
     snap = registry.snapshot()
     assert snap["counters"]["serve.deadline_expired"] == 2
     assert snap["counters"]["serve.degraded"] == 3
-
-
-def test_record_submission_alias_still_works():
-    fake = {"t": 7.0}
-    stats = ServerStats(metrics=MetricsRegistry(), clock=lambda: fake["t"])
-    stats.record_submission()  # pre-deadline-era name for record_admission
-    fake["t"] = 9.0
-    stats.record_completion(latency_ms=1.0, queue_ms=0.0, energy_uj=0.0)
-    assert stats.report().wall_s == 2.0
-
-
-def test_latency_percentiles_helper():
-    assert latency_percentiles([]) == (0.0, 0.0, 0.0)
-    p50, p95, p99 = latency_percentiles(list(range(1, 101)))
-    assert p50 == 50.5
-    assert p95 > p50
-    assert p99 > p95
