@@ -2,7 +2,7 @@
 
 Executes each :func:`~repro.backends.base.compile_units` unit through
 the :mod:`repro.kernels` fused routines — quantize, matmul/im2col-conv,
-pool and ReLU collapsed into mask-based passes writing into
+pool and ReLU collapsed into single passes writing into
 preallocated per-layer :class:`~repro.kernels.workspace.Workspace`
 buffers that are reused across batches.  Outputs are bitwise-equal to
 the reference backend for every paper precision (property-tested in
@@ -49,7 +49,6 @@ from repro.kernels.fused import (
     to_nchw,
 )
 from repro.kernels.workspace import Workspace
-from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense
 from repro.nn.im2col import conv_output_size
@@ -303,6 +302,4 @@ class FusedBackend(Backend):
         ).copy()
 
     def act(self, layer: Module, x: np.ndarray) -> np.ndarray:
-        if type(layer) is not ReLU:
-            return layer.forward(x)
-        return fused_relu_quantize(None, x, None, self._scratch(), "act").copy()
+        return layer.forward(x)

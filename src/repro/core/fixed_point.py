@@ -18,17 +18,26 @@ from repro.core.quantizers import Quantizer
 from repro.errors import QuantizationError
 
 
+def _ceil_log2(magnitude: float) -> int:
+    if not math.isfinite(magnitude):
+        raise QuantizationError(
+            f"no radix point can hold the non-finite range {magnitude!r}"
+        )
+    return int(math.ceil(math.log2(magnitude)))
+
+
 def integer_bits_for_range(max_abs: float) -> int:
     """Integer bits (excluding sign) needed to represent ``max_abs``.
 
     Values in (0.5, 1] need 0 integer bits in a signed Qm.f format
     (max representable magnitude just below 2^m); sub-0.5 ranges yield
     negative integer-bit counts, which shift the radix point right and
-    add fractional resolution — exactly Ristretto's behaviour.
+    add fractional resolution — exactly Ristretto's behaviour.  A NaN
+    or infinite range raises :class:`QuantizationError`.
     """
     if max_abs <= 0.0:
         return 0
-    return int(math.ceil(math.log2(max_abs + 1e-12)))
+    return _ceil_log2(max_abs + 1e-12)
 
 
 def _saturate(codes: np.ndarray, bits: int) -> np.ndarray:
@@ -128,7 +137,7 @@ class FixedPointQuantizer(Quantizer):
         if pos > 0.0:
             needed.append(integer_bits_for_range(pos))
         if neg > 0.0:
-            needed.append(int(math.ceil(math.log2(max(neg, 1e-12)))))
+            needed.append(_ceil_log2(max(neg, 1e-12)))
         return self.bits - 1 - (max(needed) if needed else 0)
 
     def quantize(self, x: np.ndarray, range_hint: Optional[float] = None) -> np.ndarray:

@@ -4,10 +4,10 @@ Each kernel collapses what the layer-by-layer reference path does in
 several numpy passes (quantize -> im2col/matmul -> clip -> activation,
 each allocating temporaries) into the minimum number of vectorized
 passes over preallocated :class:`~repro.kernels.workspace.Workspace`
-buffers.  Clipping and the ReLU both use the mask idiom of the
-dianaSDK ``SIMDModelClass`` hardware model: build a boolean mask, then
-patch the masked lanes in place instead of materializing branch
-temporaries.
+buffers.  No kernel selects through a mask: clipping is ``np.clip``
+and the ReLU is the branch-free ``fmax`` rectifier
+(:func:`~repro.nn.activations.relu`) that training and the reference
+layer run too.
 
 Every kernel is **bitwise-equal** to the reference implementation it
 replaces (``repro.nn`` layer ``forward`` + ``FakeQuantLayer``).  Three
@@ -47,6 +47,7 @@ import numpy as np
 from repro.core.fixed_point import FixedPointQuantizer, quantize_fixed
 from repro.core.quantizers import IdentityQuantizer, Quantizer
 from repro.kernels.workspace import Workspace
+from repro.nn.activations import relu
 from repro.nn.im2col import im2col
 from repro.nn.pooling import max_pool, pool_source, sum_pool
 
@@ -112,42 +113,17 @@ def fused_relu_quantize(
     key: Hashable,
     in_place: bool = False,
 ) -> np.ndarray:
-    """ReLU and activation quantization as one mask-based pass.
+    """ReLU, then activation quantization, in one buffer.
 
-    Instead of materializing ``relu(x)`` and quantizing the result, the
-    kernel quantizes ``x`` directly and then zeroes the non-positive
-    lanes through a mask — quantization is monotonic and positive
-    values quantize identically either way, while every masked lane
-    lands on exactly ``+0.0``, just as ``np.where(x > 0, x, 0)``
-    followed by quantization would.
-
-    The dynamic radix point (no hint, uncalibrated tracker) is placed
-    from the *rectified* range: ``max(x, 0)`` is the largest magnitude
-    the reference quantizer would ever see after the ReLU.
+    The reference order: :func:`~repro.nn.activations.relu` rectifies
+    into scratch (or, with ``in_place``, into ``x``), then
+    :func:`fused_quantize` quantizes that buffer where it sits.  The
+    dynamic radix point is therefore placed from the rectified tensor,
+    by the quantizer's own ``resolve_frac_bits``.
     """
-    # ~(x > 0) rather than (x <= 0): identical for finite lanes, and a
-    # NaN lane zeroes exactly as the reference's np.where(x > 0, ...)
-    mask = ws.get((key, "mask"), x.shape, np.bool_)
-    np.greater(x, 0, out=mask)
-    np.logical_not(mask, out=mask)
-    if quantizer is None or type(quantizer) is IdentityQuantizer:
-        if in_place:
-            out = x
-        else:
-            out = ws.get((key, "relu"), x.shape, np.float32)
-            np.copyto(out, x)
-        np.copyto(out, 0.0, where=mask)
-        return out
-    if quantizer.frac_bits is not None:
-        frac = quantizer.frac_bits
-    elif range_hint is not None:
-        frac = quantizer.frac_bits_for(range_hint)
-    else:
-        frac = quantizer.frac_bits_for(float(np.max(x, initial=0.0)))
-    out = x if in_place else ws.get((key, "q32"), x.shape, np.float32)
-    quantize_fixed(x, quantizer.bits, frac, out=out)
-    np.copyto(out, 0.0, where=mask)
-    return out
+    out = x if in_place else ws.get((key, "relu"), x.shape, np.float32)
+    relu(x, out=out)
+    return fused_quantize(quantizer, out, range_hint, ws, key, in_place=True)
 
 
 def fused_dense(

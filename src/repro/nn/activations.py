@@ -15,6 +15,24 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.nn.module import Module
 from repro.nn.tensor import DTYPE
 
+_ZERO = DTYPE(0)
+
+
+def relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """float32 ``max(0, x)`` without a data-dependent select.
+
+    Bit-identical to ``np.where(x > 0, x, 0).astype(float32)``: ``fmax``
+    drops NaN lanes to the zero, and ±inf and subnormals pass through.
+    ``out`` may be ``x``.  Training, the reference layer and the fused
+    kernels all rectify here.
+    """
+    out = np.fmax(x, _ZERO, out=out, dtype=DTYPE)
+    # Which zero fmax returns for a (-0.0, +0.0) tie depends on the SIMD
+    # loop numpy dispatches; adding +0.0 turns -0.0 into +0.0 and
+    # changes no other lane.
+    out += 0.0
+    return out
+
 
 class ReLU(Module):
     """Rectified linear unit, max(0, x)."""
@@ -24,10 +42,9 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = x > 0
         if self.training:
-            self._mask = mask
-        return np.where(mask, x, 0).astype(DTYPE, copy=False)
+            self._mask = x > 0
+        return relu(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import fixed_point
+from repro.core import QuantizedNetwork, fixed_point
 from repro.core.fixed_point import FixedPointQuantizer, integer_bits_for_range, quantize_fixed
 from repro.errors import QuantizationError
+from repro.zoo import build_network
 
 
 def test_integer_bits_for_range():
@@ -102,6 +103,39 @@ def test_zero_array():
     q = FixedPointQuantizer(8)
     out = q.quantize(np.zeros(5, dtype=np.float32))
     assert np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("lane", [np.inf, -np.inf])
+def test_infinite_batch_range_raises_quantization_error(lane):
+    with pytest.raises(QuantizationError, match="non-finite range inf"):
+        FixedPointQuantizer(8).quantize(np.array([lane, 1.0], dtype=np.float32))
+
+
+@pytest.mark.parametrize("max_abs", [np.inf, np.nan])
+def test_non_finite_range_hint_raises_quantization_error(max_abs):
+    with pytest.raises(QuantizationError, match="non-finite range"):
+        integer_bits_for_range(max_abs)
+    with pytest.raises(QuantizationError, match="non-finite range"):
+        FixedPointQuantizer(8).quantize(np.ones(3, np.float32), range_hint=max_abs)
+
+
+def test_nan_batch_maximum_skips_radix_placement():
+    """A NaN lane hides the batch range, so the dynamic radix keeps its
+    no-data placement (all bits fractional) instead of raising."""
+    q = FixedPointQuantizer(8)
+    x = np.array([np.nan, 3.0, -1.0], dtype=np.float32)
+    assert q.resolve_frac_bits(x, None) == 7
+    out = q.quantize(x)
+    assert np.isnan(out[0]) and out[1] == 127 / 128 and out[2] == -1.0
+
+
+@pytest.mark.parametrize("pixel", [np.nan, np.inf])
+def test_calibrating_on_a_non_finite_pixel_raises_quantization_error(pixel):
+    images = np.random.default_rng(0).random((4, 1, 28, 28)).astype(np.float32)
+    images[0, 0, 0, 0] = pixel
+    qnet = QuantizedNetwork(build_network("lenet"), "fixed8")
+    with pytest.raises(QuantizationError, match="non-finite range"):
+        qnet.calibrate(images)
 
 
 @settings(max_examples=50, deadline=None)

@@ -15,11 +15,12 @@ fancy-index, stacked-window and ``np.add.at`` originals.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import backends, core
 from repro.data import load_dataset
+from repro.errors import QuantizationError
 from repro.zoo import build_network, network_info
 from tests.conftest import make_tiny_cnn
 
@@ -78,22 +79,51 @@ def test_fused_matches_reference_bitwise(
     )
 
 
-@settings(max_examples=25, deadline=None)
+#: Non-finite values a poisoned input carries in 1-3 of its lanes.
+POISONS = {"none": None, "nan": np.nan, "-inf": -np.inf, "+inf": np.inf}
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     key=st.sampled_from(PRECISION_KEYS),
     seed=st.integers(0, 7),
     scale=st.sampled_from([1e-4, 0.1, 1.0, 30.0, 1e4]),
+    poison=st.sampled_from(sorted(POISONS)),
+    lanes=st.lists(st.integers(0, 3 * 28 * 28 - 1), min_size=1, max_size=3),
 )
-def test_fused_matches_reference_on_adversarial_inputs(key, seed, scale):
+@example(key="fixed8", seed=1, scale=1.0, poison="nan", lanes=[900])
+@example(key="fixed8", seed=1, scale=1.0, poison="+inf", lanes=[900])
+def test_fused_matches_reference_on_adversarial_inputs(
+    key, seed, scale, poison, lanes
+):
     """Property: parity holds for extreme input magnitudes (deep in the
-    saturation and underflow regimes of every quantizer)."""
+    saturation and underflow regimes of every quantizer) and for
+    non-finite lanes.
+
+    The networks are uncalibrated, so every activation radix point is
+    placed from its batch.  A NaN lane reaches the ReLUs, which zero it
+    on both backends.  An infinite lane gives the input quantizer an
+    infinite range: both backends raise ``QuantizationError``, except
+    at float32, where the logits (NaN lanes included) must be the same
+    bytes."""
     qnet = core.QuantizedNetwork(make_tiny_cnn(seed=seed), key)
     rng = np.random.default_rng(seed)
     x = (scale * rng.standard_normal((3, 1, 28, 28))).astype(np.float32)
-    with qnet.quantized_weights():
+    if POISONS[poison] is not None:
+        x.reshape(-1)[lanes] = POISONS[poison]
+    context = f"tiny/{key} seed={seed} scale={scale} poison={poison}@{lanes}"
+    with qnet.quantized_weights(), np.errstate(invalid="ignore"):
+        if poison.endswith("inf") and key != "float32":
+            for name in ("reference", "fused"):
+                with pytest.raises(QuantizationError, match="non-finite range"):
+                    backends.get(name).predict(qnet.pipeline, x)
+            return
         reference = backends.get("reference").predict(qnet.pipeline, x)
         fused = backends.get("fused").predict(qnet.pipeline, x)
-    _assert_bitwise(reference, fused, f"tiny/{key} seed={seed} scale={scale}")
+    if poison.endswith("inf"):
+        assert reference.tobytes() == fused.tobytes(), context
+        return
+    _assert_bitwise(reference, fused, context)
 
 
 def test_fused_parity_through_infer_and_freeze(tiny_digits):
