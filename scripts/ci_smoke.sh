@@ -84,15 +84,15 @@ smoke_kernels() {
   python -m pytest -q tests/kernels/test_parity.py
   # The rectifier and quantizer oracles again, on numpy's baseline SIMD
   # loops: which zero fmax returns for a (-0.0, +0.0) tie depends on the
-  # loop numpy dispatches.  tests/core/test_training_bitwise.py stays
-  # out: its pins also follow the exp/log/tanh loops.
+  # loop numpy dispatches.  The training pins follow the exp/log/tanh
+  # loops too; their canary must notice and skip them, never fail.
   local dispatched
   dispatched=$(python -c "from numpy._core import _multiarray_umath as m
 print(' '.join(f for f in m.__cpu_dispatch__ if m.__cpu_features__.get(f)))")
   echo "== baseline SIMD loops (NPY_DISABLE_CPU_FEATURES='$dispatched')"
   NPY_DISABLE_CPU_FEATURES="$dispatched" python -m pytest -q \
     tests/nn/test_activations.py tests/kernels/test_parity.py \
-    tests/core/test_fixed_point.py
+    tests/core/test_fixed_point.py tests/core/test_training_bitwise.py
 }
 
 smoke_sim() {

@@ -13,9 +13,10 @@ written before the change and requires a hit.  A change that *means*
 to alter training results must bump ``CACHE_SCHEMA`` and re-record
 these values.
 
-Digests of trained floats depend on the BLAS's summation order, so the
-pins are skipped on a host whose matmul bits differ from the recording
-host's (the ``_BLAS_CANARY`` check).
+Digests of trained floats depend on the BLAS's summation order and on
+the SIMD loops numpy dispatches for ``exp``/``log``/``tanh``, so the
+pins are skipped on a host whose matmul or ufunc bits differ from the
+recording host's (the ``_BLAS_CANARY`` check).
 """
 
 import functools
@@ -32,8 +33,8 @@ from repro.nn.serialization import state_dict_digest
 from repro.parallel import SweepCache, run_sweep
 from repro.zoo import build_network
 
-#: sha256 of the canary matmuls on the recording host
-_BLAS_CANARY = "126646b333307d1e47a2c08ca8013156bca737836b141673fe51c6a0bdd2c3e9"
+#: sha256 of the canary matmuls and ufuncs on the recording host
+_BLAS_CANARY = "8ca3020a5df9905e91e79be427e88e6a32cafdabe3c3f64125864ea3c400c54e"
 
 #: net -> (dataset, n_train, n_test, {spec: (accuracy, state digest)},
 #: (fixed8 cache key, fixed8 cache entry as written))
@@ -85,14 +86,22 @@ def _blas_canary() -> str:
         a = rng.standard_normal((m, k)).astype(np.float32)
         b = rng.standard_normal((k, n)).astype(np.float32)
         digest.update((a @ b).tobytes())
+    # Softmax, cross-entropy and tanh run numpy's own SIMD loops, whose
+    # last bits change with the dispatched CPU features (an odd length
+    # covers both the vector body and the scalar tail).
+    x = rng.standard_normal(4099).astype(np.float32)
+    for ufunc, arg in ((np.exp, x), (np.log, np.abs(x) + np.float32(0.5)),
+                       (np.tanh, x)):
+        digest.update(ufunc(arg).tobytes())
     return digest.hexdigest()
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _recording_host_arithmetic():
     if _blas_canary() != _BLAS_CANARY:
-        pytest.skip("this BLAS sums float32 matmuls differently from the "
-                    "host that recorded the pins")
+        pytest.skip("this host's BLAS or numpy SIMD loops compute float32 "
+                    "matmuls or exp/log/tanh differently from the host "
+                    "that recorded the pins")
 
 
 def _sweep(net, keep_states=False):

@@ -1,0 +1,307 @@
+"""Instrumentation that is switched off costs under 2 % of the work.
+
+Every served request runs hooks that do nothing until something is
+installed or armed: the admission gate and degrade router in
+``Server.submit``, the deadline flag in ``Batcher.put`` and the
+deadline scan in ``Batcher.next_batch``, the fault sites around each
+forward pass (in process and in a fleet replica), the ``kernels.run``
+span and per-unit ``observe`` branch in ``Backend.run``, and the
+registry-digest check in ``Server._finish_batch``.
+
+Two load runs timed against each other cannot resolve 2 % on a shared
+host.  So each hook is timed on its own, as the request path runs it,
+and the per-request sum is priced against the per-request service time
+(wall / completed) of one closed-loop ``InferenceServer`` run.  A
+per-batch hook counts once per request, its cost if every batch held
+one request.  Method hooks call the real method; the ``is None``
+checks repeat the source line.  A new hook on the request path joins
+the list in ``request_path``.
+"""
+
+import statistics
+import time
+import timeit
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.backends.base import compile_units
+from repro.data import load_dataset
+from repro.errors import FaultInjectedError
+from repro.obs import MetricsRegistry, Tracer, get_tracer
+from repro.resilience.faults import get_injector
+from repro.serve import InferenceServer, ModelStore, ServerStats, run_closed_loop
+from repro.serve.replica import ReplicaConfig
+from repro.serve.request import InferenceRequest, ModelKey, PendingRequest, ServeFuture
+from tests.conftest import make_tiny_cnn
+
+BUDGET = 0.02
+NETWORK, PRECISION = "lenet_small", "fixed8"
+N_REQUESTS = 192
+CONCURRENCY = 64
+WORKERS = 4
+MAX_BATCH = 32
+
+
+@dataclass(frozen=True)
+class Hook:
+    """A statement the code runs, and how often per unit of work."""
+
+    site: str
+    stmt: str
+    calls: int = 1
+
+
+@dataclass(frozen=True)
+class Pricing:
+    """Each hook's measured ns per call, against one unit of work."""
+
+    rows: Tuple[Tuple[Hook, float], ...]
+    unit_s: float
+
+    @property
+    def cost_s(self) -> float:
+        return 1e-9 * sum(hook.calls * ns for hook, ns in self.rows)
+
+    @property
+    def breached(self) -> bool:
+        return self.cost_s >= BUDGET * self.unit_s
+
+    def format(self) -> str:
+        lines = [f"{'hook':<46} {'ns/call':>8} {'calls':>5}"]
+        lines += [f"{hook.site:<46} {ns:>8.1f} {hook.calls:>5}"
+                  for hook, ns in self.rows]
+        lines.append(
+            f"sum {1e9 * self.cost_s:.0f} ns = "
+            f"{100 * self.cost_s / self.unit_s:.3f} % of "
+            f"{1e6 * self.unit_s:.1f} us (budget {100 * BUDGET:g} %)"
+        )
+        return "\n".join(lines)
+
+
+def _ns_per_call(stmt: str, namespace: Dict[str, object]) -> float:
+    """Median of 5 timings, each of enough calls to last >= 2 ms."""
+    timer = timeit.Timer(stmt, globals=namespace)
+    number = 1
+    while timer.timeit(number) < 2e-3:
+        number *= 10
+    return 1e9 * statistics.median(timer.repeat(5, number)) / number
+
+
+def price(hooks: Sequence[Hook], namespace: Dict[str, object],
+          unit_s: float) -> Pricing:
+    """Time every hook's statement with ``namespace`` as its globals."""
+    return Pricing(
+        tuple((hook, _ns_per_call(hook.stmt, namespace)) for hook in hooks),
+        unit_s,
+    )
+
+
+@dataclass(frozen=True)
+class Run:
+    server: InferenceServer
+    wall_s: float
+    latency_ms_mean: float
+
+    @property
+    def service_s(self) -> float:
+        return self.wall_s / N_REQUESTS
+
+
+def _serve(store, images, deadline_ms=None) -> Run:
+    server = InferenceServer(
+        store, workers=WORKERS, max_batch_size=MAX_BATCH,
+        max_delay_ms=2.0, max_queue_depth=512,
+    )
+    with server:
+        started = time.perf_counter()
+        outcome = run_closed_loop(
+            server, images, NETWORK, PRECISION,
+            n_requests=N_REQUESTS, concurrency=CONCURRENCY,
+            deadline_ms=deadline_ms,
+        )
+        wall_s = time.perf_counter() - started
+    report = outcome.report
+    assert outcome.client_errors == 0 and outcome.lost == 0
+    assert report.completed == N_REQUESTS
+    assert report.deadline_expired == 0
+    return Run(server, wall_s, report.latency_ms_mean)
+
+
+@pytest.fixture(scope="module")
+def split():
+    return load_dataset("digits", n_train=128, n_test=128, seed=0)
+
+
+@pytest.fixture(scope="module")
+def store(split):
+    store = ModelStore(calibration_data={"digits": split.train.images})
+    store.warm(NETWORK, PRECISION)
+    return store
+
+
+@pytest.fixture(scope="module")
+def served(store, split):
+    """The closed-loop run whose service time every hook is priced against."""
+    return _serve(store, split.test.images)
+
+
+@pytest.fixture(scope="module")
+def request_path(store, served, split):
+    """The disabled request-path hooks, and the live objects they read."""
+    server = served.server
+    servable = store.get(NETWORK, PRECISION)
+    # the serving defaults: nothing installed, armed, traced or deployed
+    assert server.admission is None and server.degrade is None
+    assert not server.batcher._track_deadlines
+    assert server._faults is None and not get_injector().armed
+    assert not get_tracer().enabled
+    assert servable.registry_digest is None
+    config = ReplicaConfig(index=0, segment_names=[], input_bytes=0)
+    assert config.crash_after_batches is None and config.chaos_seed is None
+
+    item = PendingRequest(
+        request=InferenceRequest(
+            image=split.test.images[0],
+            model_key=ModelKey(network=NETWORK, precision=PRECISION),
+            request_id=0,
+            enqueued_at=time.monotonic(),
+        ),
+        future=ServeFuture(),
+    )
+    namespace = {
+        "server": server,
+        "batcher": server.batcher,
+        "item": item,
+        "get_injector": get_injector,
+        "injector": get_injector(),
+        "FaultInjectedError": FaultInjectedError,
+        "config": config,
+        "batches_served": 0,
+        "logits": np.zeros((MAX_BATCH, 10), dtype=np.float32),
+        "get_tracer": get_tracer,
+        "backend": servable.frozen.backend,
+        "observe": None,
+        "digest": servable.registry_digest,
+    }
+    n_units = len(compile_units(servable.frozen.pipeline))
+    hooks = [
+        Hook("Server.submit: admission gate",
+             "if server.admission is not None and "
+             "not server.admission.try_acquire():\n    pass"),
+        Hook("Server.submit: degrade router",
+             "degraded = False\n"
+             "if server.degrade is not None:\n    pass\n"
+             "if degraded:\n    pass"),
+        Hook("Batcher.put: deadline flag",
+             "if getattr(item, 'deadline_at', None) is not None:\n    pass"),
+        Hook("Batcher.next_batch: _evict_expired x2",
+             "batcher._evict_expired()", calls=2),
+        Hook("InferenceServer._run_batch: engine.forward",
+             "faults = server._faults or get_injector()\n"
+             "faults.fire('engine.forward')\n"
+             "out = faults.corrupt('engine.forward', logits)"),
+        Hook("replica_main: replica.crash",
+             "try:\n    injector.fire('replica.crash')\n"
+             "except FaultInjectedError:\n    pass\n"
+             "if (config.crash_after_batches is not None\n"
+             "        and config.incarnation == 0\n"
+             "        and batches_served >= config.crash_after_batches):\n"
+             "    pass"),
+        Hook("replica_main: engine.forward",
+             "injector.fire('engine.forward')\n"
+             "out = injector.corrupt('engine.forward', logits)"),
+        Hook("Backend.run: kernels.run span",
+             "with get_tracer().span('kernels.run', backend=backend.name):\n"
+             "    pass"),
+        Hook(f"Backend.run: observe branch x{n_units} units",
+             "if observe is None:\n    pass", calls=n_units),
+        Hook("Server._finish_batch: registry digest",
+             "if digest is not None:\n    pass"),
+    ]
+    return hooks, namespace
+
+
+def test_disabled_request_path_hooks_cost_under_two_percent(served, request_path):
+    hooks, namespace = request_path
+    pricing = price(hooks, namespace, served.service_s)
+    print("\n" + pricing.format())
+    assert not pricing.breached, pricing.format()
+
+
+def test_pricing_reports_a_hook_that_busy_waits_five_percent(served, request_path):
+    """The budget check can fail: one more hook that spins for 5 % of
+    the service time must breach it."""
+    hooks, namespace = request_path
+    spin_s = 0.05 * served.service_s
+
+    def spin():
+        until = time.perf_counter() + spin_s
+        while time.perf_counter() < until:
+            pass
+
+    pricing = price(
+        [*hooks, Hook("synthetic: busy-wait 5 %", "spin()")],
+        {**namespace, "spin": spin},
+        served.service_s,
+    )
+    assert pricing.breached, pricing.format()
+
+
+def test_deadlines_keep_mean_latency_under_five_times(store, served, split):
+    """Deadline bookkeeping stays in the same ballpark: the bound catches
+    an accidentally quadratic eviction scan, not noise."""
+    deadlined = _serve(store, split.test.images, deadline_ms=60_000.0)
+    assert deadlined.latency_ms_mean < 5.0 * max(served.latency_ms_mean, 1.0), (
+        f"{deadlined.latency_ms_mean:.3f} ms with deadlines vs "
+        f"{served.latency_ms_mean:.3f} ms without"
+    )
+
+
+def test_artifact_accounting_costs_under_two_percent(served):
+    """A registry-deployed servable records its artifact once per batch;
+    allow two batches per request."""
+    pricing = price(
+        [Hook("ServerStats.record_artifact x2",
+              "stats.record_artifact('lenet_small@fixed8', 'd' * 64, 1)",
+              calls=2)],
+        {"stats": ServerStats(metrics=MetricsRegistry())},
+        served.service_s,
+    )
+    assert not pricing.breached, pricing.format()
+
+
+def _fit_s(epochs: int) -> float:
+    split = load_dataset("digits", n_train=200, n_test=50, seed=0)
+    network = make_tiny_cnn()
+    trainer = nn.Trainer(
+        network,
+        nn.SGD(network.parameters(), lr=0.01, momentum=0.9),
+        batch_size=32,
+        rng=np.random.default_rng(0),
+    )
+    started = time.perf_counter()
+    trainer.fit(
+        split.train.images, split.train.labels,
+        split.val.images, split.val.labels,
+        epochs=epochs,
+    )
+    return time.perf_counter() - started
+
+
+def test_noop_tracer_spans_cost_under_two_percent_of_fit():
+    """``Trainer.fit`` opens one span plus one per epoch; price 100x that
+    many (room for per-batch instrumentation) against the fit."""
+    assert not get_tracer().enabled  # the shipped default
+    epochs = 2
+    pricing = price(
+        [Hook("Tracer.span, disabled",
+              "with tracer.span('noop', epoch=0):\n    pass",
+              calls=100 * (1 + epochs))],
+        {"tracer": Tracer(enabled=False)},
+        _fit_s(epochs),
+    )
+    assert not pricing.breached, pricing.format()
