@@ -69,7 +69,7 @@ class _Plan:
     __slots__ = ("layer_ids", "units", "fusable", "fallbacks", "workspace")
 
     def __init__(self, pipeline: Sequential):
-        self.layer_ids = tuple(id(layer) for layer in pipeline.layers)
+        self.layer_ids = tuple(map(id, pipeline.layers))
         self.units: List[Unit] = compile_units(pipeline)
         self.fusable = tuple(_unit_fusable(unit) for unit in self.units)
         #: indices of the units that take the base step instead of a kernel
@@ -241,9 +241,7 @@ class FusedBackend(Backend):
         if plans is None:
             plans = self._local.plans = weakref.WeakKeyDictionary()
         plan = plans.get(pipeline)
-        if plan is None or plan.layer_ids != tuple(
-            id(layer) for layer in pipeline.layers
-        ):
+        if plan is None or plan.layer_ids != tuple(map(id, pipeline.layers)):
             plan = plans[pipeline] = _Plan(pipeline)
         return plan
 

@@ -40,9 +40,11 @@ def integer_bits_for_range(max_abs: float) -> int:
     return _ceil_log2(max_abs + 1e-12)
 
 
-def _saturate(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Clip float codes, in place, to the signed ``bits``-wide range."""
-    return np.clip(codes, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1, out=codes)
+def _saturate(x: np.ndarray, bits: int, scale: float, out: Optional[np.ndarray]) -> np.ndarray:
+    """Clip ``x`` into ``out`` (a fresh array if ``None``) to the signed
+    ``bits``-wide grid's ends over ``scale``."""
+    top = 2 ** (bits - 1)
+    return x.clip(-top / scale, (top - 1) / scale, out=out)
 
 
 def quantize_fixed(
@@ -50,29 +52,27 @@ def quantize_fixed(
 ) -> np.ndarray:
     """Round-to-nearest-even onto the ``bits``-wide grid ``k / 2^frac_bits``.
 
-    scale -> rint -> saturate -> rescale, for float32 ``x``; the result
+    saturate -> scale -> rint -> rescale, for float32 ``x``; the result
     is float32, written into ``out`` when given (which may be ``x``).
 
-    With ``bits <= 24`` every saturated code fits a float32 mantissa,
-    and while ``2^frac_bits`` is a normal float32 (``-126 <= frac_bits
-    <= 127``) the scaling is an exact exponent shift, so the chain runs
-    in float32 in place and yields the very bits a float64 round trip
-    does: lanes that overflow float32 before the clip saturate to the
-    same codes, and sub-half lanes round to the same signed zeros.
-    Wider words or extreme radix points take the float64 chain.
+    Saturating first, to the grid's ends over ``2^frac_bits``, means no
+    lane can overflow.  With ``bits <= 24`` and ``bits - 128 <=
+    frac_bits <= 127`` those ends and every code are float32 values and
+    the scaling is an exact exponent shift, so the chain runs in
+    float32 in place and yields the very bits a float64 round trip
+    does, sub-half lanes rounding to the same signed zeros.  Wider
+    words or other radix points take the float64 chain.
     """
     scale = float(2.0**frac_bits)
-    if bits <= 24 and -126 <= frac_bits <= 127:
-        if out is None:
-            out = np.empty(x.shape, dtype=np.float32)
-        with np.errstate(over="ignore"):
-            np.multiply(x, scale, out=out)
+    if bits <= 24 and bits - 128 <= frac_bits <= 127:
+        out = _saturate(x, bits, scale, out)
+        np.multiply(out, scale, out=out)
         np.rint(out, out=out)
-        _saturate(out, bits)
         return np.divide(out, scale, out=out)
-    wide = x.astype(np.float64) * scale
+    wide = x.astype(np.float64)
+    _saturate(wide, bits, scale, wide)
+    wide *= scale
     np.rint(wide, out=wide)
-    _saturate(wide, bits)
     np.divide(wide, scale, out=wide)
     if out is None:
         return wide.astype(np.float32)
@@ -82,9 +82,9 @@ def quantize_fixed(
 
 def fixed_codes(x: np.ndarray, bits: int, frac_bits: int) -> np.ndarray:
     """The int64 codes :func:`quantize_fixed` rounds ``x`` onto."""
-    wide = np.asarray(x, dtype=np.float64) * float(2.0**frac_bits)
-    np.rint(wide, out=wide)
-    return _saturate(wide, bits).astype(np.int64)
+    scale = float(2.0**frac_bits)
+    wide = _saturate(np.asarray(x, dtype=np.float64), bits, scale, None) * scale
+    return np.rint(wide, out=wide).astype(np.int64)
 
 
 class FixedPointQuantizer(Quantizer):
@@ -146,10 +146,10 @@ class FixedPointQuantizer(Quantizer):
         if not self.stochastic_rounding:
             return quantize_fixed(x, self.bits, frac)
         scale = float(2.0**frac)
-        scaled = x.astype(np.float64) * scale
+        scaled = _saturate(x.astype(np.float64), self.bits, scale, None) * scale
         floor = np.floor(scaled)
         rounded = floor + (self._rng.random(scaled.shape) < scaled - floor)
-        return (_saturate(rounded, self.bits) / scale).astype(np.float32)
+        return (rounded / scale).astype(np.float32)
 
     def integer_repr(self, x: np.ndarray, range_hint: Optional[float] = None) -> np.ndarray:
         """The stored integer codes (for memory/hardware-level tests)."""

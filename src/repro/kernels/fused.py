@@ -4,18 +4,18 @@ Each kernel collapses what the layer-by-layer reference path does in
 several numpy passes (quantize -> im2col/matmul -> clip -> activation,
 each allocating temporaries) into the minimum number of vectorized
 passes over preallocated :class:`~repro.kernels.workspace.Workspace`
-buffers.  No kernel selects through a mask: clipping is ``np.clip``
-and the ReLU is the branch-free ``fmax`` rectifier
-(:func:`~repro.nn.activations.relu`) that training and the reference
-layer run too.
+buffers.  No kernel selects through a mask: quantization saturates
+with one ``clip`` before it scales, and the ReLU is the branch-free
+``fmax`` rectifier (:func:`~repro.nn.activations.relu`) that training
+and the reference layer run too.
 
 Every kernel is **bitwise-equal** to the reference implementation it
 replaces (``repro.nn`` layer ``forward`` + ``FakeQuantLayer``).  Three
 choices carry the speed without breaking that contract:
 
-- *shared arithmetic*: the fixed-point chain
-  (:func:`~repro.core.fixed_point.quantize_fixed`), the im2col
-  lowering (:func:`~repro.nn.im2col.im2col`) and the pooling walks
+- *shared arithmetic*: the saturate-first fixed-point chain
+  (:func:`~repro.core.fixed_point.quantize_fixed`), the one-copy
+  im2col lowering (:func:`~repro.nn.im2col.im2col`) and the pooling walks
   (:func:`~repro.nn.pooling.max_pool` / ``sum_pool``) are the very
   functions the reference layers run, handed workspace buffers through
   ``out=``;
@@ -155,8 +155,9 @@ def fused_conv2d(
 ) -> np.ndarray:
     """im2col convolution with every intermediate in workspace buffers.
 
-    One padded copy (only when ``padding > 0``), one strided im2col
-    fill, one BLAS matmul with ``out=``, and an in-place bias add.
+    One padded copy (only when ``padding > 0``), one im2col copy from
+    a strided window view, one BLAS matmul with ``out=``, and an
+    in-place bias add.
 
     Returns the result in **channel-major** layout ``(C_out, OH, OW,
     N)`` — a free reshape of the matmul buffer; the reference path's

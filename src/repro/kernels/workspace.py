@@ -2,7 +2,7 @@
 
 Every fused kernel writes into buffers owned by a :class:`Workspace`
 instead of allocating fresh arrays per batch.  Buffers are keyed by
-``(name, shape, dtype)``: re-running the same batch shape reuses the
+``(name, tuple(shape), dtype)``: re-running the same batch shape reuses the
 existing buffer (``hits`` grows, ``allocations`` does not), while a
 batch-size change is revalidated into a freshly sized buffer — exactly
 the contract the buffer-reuse tests lock.
@@ -40,9 +40,10 @@ class Workspace:
         Contents are unspecified on return — kernels must fully
         overwrite the region they read back.  Distinct shapes under the
         same key coexist, so a trailing partial batch does not thrash
-        the full-batch buffers.
+        the full-batch buffers.  ``shape`` holds ints (numpy or Python
+        ones hash alike), so it is keyed as plain ``tuple(shape)``.
         """
-        full_key = (key, tuple(int(s) for s in shape), np.dtype(dtype))
+        full_key = (key, tuple(shape), np.dtype(dtype))
         buffer = self._buffers.get(full_key)
         if buffer is None:
             buffer = np.empty(full_key[1], dtype=full_key[2])

@@ -1,11 +1,10 @@
 """im2col / col2im lowering and the shared conv/pool window walk.
 
 Convolution is implemented as a matrix multiply over patch columns, the
-same lowering Caffe uses.  Both directions walk the k*k shifted,
-strided window views of the padded input (:func:`window_views`, which
-pooling walks too) — one slice copy or slice ``+=`` per kernel offset
-over a contiguous channel-major ``(C, H, W, N)`` array — so no index
-arrays are built and every write lands in the column or image buffer.
+same lowering Caffe uses.  :func:`im2col` copies every window at once
+from a read-only strided view of the padded channel-major ``(C, H, W,
+N)`` source; :func:`col2im` and pooling, whose results depend on the
+order they accumulate in, walk the k*k :func:`window_views` in turn.
 """
 
 from __future__ import annotations
@@ -69,12 +68,11 @@ def im2col(
     ``x`` is NCHW, or channel-major ``(C, H, W, N)`` with ``chwn``.
     Returns ``(C*K*K, OH*OW*N)``: row ``c*K*K + ki*K + kj``, column
     ``(oh*OW + ow)*N + n`` — the flattened receptive fields in
-    row-major output order, batch innermost.  ``out`` receives the
-    columns when given (any buffer of that size and a compatible
-    dtype); otherwise a fresh array of ``x``'s dtype is returned.
+    row-major output order, batch innermost.  One copy from a strided
+    view fills ``out`` when given (any contiguous buffer of that size
+    and a compatible dtype), else a fresh array of ``x``'s dtype.
     """
-    # a contiguous channel-major source makes every view copy below
-    # move whole batch rows
+    # a contiguous channel-major source: the copy moves whole batch rows
     src = x if chwn else x.transpose(1, 2, 3, 0)
     if padding:
         p = (padding, padding)
@@ -86,9 +84,11 @@ def im2col(
     out_w = conv_output_size(w, kernel, stride, 0)
     if out is None:
         out = np.empty((c * kernel * kernel, out_h * out_w * n), dtype=x.dtype)
-    out5 = out.reshape(c, kernel * kernel, out_h, out_w, n)
-    for index, view in enumerate(window_views(src, kernel, stride, out_h, out_w, chwn=True)):
-        out5[:, index] = view
+    sc, sh, sw, sn = src.strides
+    windows = np.ndarray((c, kernel, kernel, out_h, out_w, n), src.dtype, src, 0,
+                         (sc, sh, sw, sh * stride, sw * stride, sn))
+    windows.flags.writeable = False
+    np.copyto(out.reshape(windows.shape), windows)
     return out
 
 

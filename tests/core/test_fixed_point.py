@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -190,6 +190,10 @@ _SPECIALS = np.array(
 )
 
 
+#: scaled by 2**126, this spans both grid ends at ``frac_bits = bits - 128``
+_EDGES = np.linspace(-4, 4, 24, dtype=np.float32)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     bits=st.integers(2, 24),
@@ -200,6 +204,12 @@ _SPECIALS = np.array(
     x=hnp.arrays(np.float32, (24,), elements=st.floats(-4, 4, width=32)),
     range_hint=st.one_of(st.none(), st.floats(1e-3, 1e3)),
 )
+# bits - 128, the lowest radix point whose grid ends are float32 values,
+# and bits - 129, one below it, which takes the float64 chain
+@example(bits=8, frac_bits=-120, exponent=126, x=_EDGES, range_hint=None)
+@example(bits=8, frac_bits=-121, exponent=126, x=_EDGES, range_hint=None)
+@example(bits=24, frac_bits=-104, exponent=126, x=_EDGES, range_hint=None)
+@example(bits=24, frac_bits=-105, exponent=126, x=_EDGES, range_hint=None)
 def test_quantize_bitwise_matches_float64_chain(bits, frac_bits, exponent, x, range_hint):
     """Property: the quantizer (float32 core where it is exact, float64
     elsewhere) yields the float64 chain's bits, across radix points at
@@ -231,33 +241,38 @@ def test_quantize_fixed_writes_into_out(in_place):
 
 @pytest.fixture
 def saturated_dtypes(monkeypatch):
-    """The dtype of every code array the quantizer saturates."""
+    """The dtype of every array the quantizer saturates."""
     seen = []
     original = fixed_point._saturate
 
-    def spy(codes, bits):
-        seen.append(codes.dtype)
-        return original(codes, bits)
+    def spy(x, bits, scale, out):
+        seen.append(x.dtype)
+        return original(x, bits, scale, out)
 
     monkeypatch.setattr(fixed_point, "_saturate", spy)
     return seen
 
 
 def test_fast_path_covers_paper_widths_only(saturated_dtypes):
-    """<= 24-bit words at float32-normal radix points run the float32
-    chain; fixed32, radix points outside float32's exponent range and
-    stochastic rounding keep the float64 chain."""
+    """<= 24-bit words at radix points whose grid ends are float32
+    values (``bits - 128 <= frac_bits <= 127``) run the float32 chain;
+    fixed32, radix points beyond either end and stochastic rounding
+    keep the float64 chain."""
     x = np.linspace(-3, 3, 64, dtype=np.float32)
     FixedPointQuantizer(8).quantize(x)
     FixedPointQuantizer(24, frac_bits=127).quantize(x)
-    assert saturated_dtypes == [np.float32, np.float32]
+    FixedPointQuantizer(8, frac_bits=8 - 128).quantize(x)
+    FixedPointQuantizer(24, frac_bits=24 - 128).quantize(x)
+    assert saturated_dtypes == [np.float32] * 4
     saturated_dtypes.clear()
     FixedPointQuantizer(32).quantize(x)
     FixedPointQuantizer(25, frac_bits=0).quantize(x)
     FixedPointQuantizer(8, frac_bits=128).quantize(x)
     FixedPointQuantizer(8, frac_bits=-127).quantize(x)
     FixedPointQuantizer(8, stochastic_rounding=True).quantize(x)
-    assert saturated_dtypes == [np.float64] * 5
+    FixedPointQuantizer(8, frac_bits=8 - 129).quantize(x)
+    FixedPointQuantizer(24, frac_bits=24 - 129).quantize(x)
+    assert saturated_dtypes == [np.float64] * 7
 
 
 def test_fixed32_and_stochastic_match_float64_chain():

@@ -13,6 +13,8 @@ quantizer to a float64 oracle, and ``tests/nn/test_im2col.py`` /
 fancy-index, stacked-window and ``np.add.at`` originals.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from repro import backends, core
 from repro.data import load_dataset
 from repro.errors import QuantizationError
+from repro.nn import Dense
 from repro.zoo import build_network, network_info
 from tests.conftest import make_tiny_cnn
 
@@ -164,6 +167,27 @@ def test_fused_falls_back_on_unknown_layers(tiny_digits):
     reference = qnet.infer(x, backend="reference")
     fused = qnet.infer(x, backend="fused")
     _assert_bitwise(reference, fused, "fallback")
+
+
+def test_swapping_a_layer_recompiles_the_plan(tiny_digits):
+    """A plan holds the identity of every layer it compiled: replacing
+    an entry of ``pipeline.layers`` makes the next run compile a new
+    plan over the new layer, which matches the reference bit for bit."""
+    fused = backends.FusedBackend()
+    qnet = core.QuantizedNetwork(make_tiny_cnn(), "fixed8")
+    qnet.calibrate(tiny_digits.train.images[:32])
+    pipeline, x = qnet.pipeline, tiny_digits.test.images[:6]
+    before = fused.run(pipeline, x)
+    plan = fused._plan(pipeline)
+    index = next(i for i, layer in enumerate(pipeline.layers) if type(layer) is Dense)
+    swapped = copy.deepcopy(pipeline.layers[index])
+    weight = swapped.weight.data
+    swapped.weight.data = np.random.default_rng(1).standard_normal(weight.shape, np.float32)
+    pipeline.layers[index] = swapped
+    after = fused.run(pipeline, x)
+    assert fused._plan(pipeline) is not plan
+    assert not np.array_equal(after, before)
+    _assert_bitwise(backends.get("reference").run(pipeline, x), after, "swapped dense")
 
 
 # ----------------------------------------------------------------------

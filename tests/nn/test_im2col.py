@@ -9,7 +9,7 @@ weight) would drift by an ulp.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
@@ -157,20 +157,39 @@ def _lowering_input(n, c, height, width, kernel, padding, seed, dtype=np.float32
     rng = np.random.default_rng(seed)
     # a coarse grid makes exact ties and cancellations common
     x = rng.integers(-4, 5, size=(n, c, height, width)).astype(dtype)
+    if dtype is np.int64:  # integer codes, as the integer simulators lower
+        return x * rng.choice([1, 2**7, 2**31])
     return x * dtype(rng.choice([1.0, 0.1, 1e-30, 3e37]))
 
 
-@settings(max_examples=120, deadline=None)
-@given(**_lowering)
-def test_im2col_bitwise_matches_oracle(n, c, height, width, kernel, stride, padding, seed):
-    x = _lowering_input(n, c, height, width, kernel, padding, seed)
+@settings(max_examples=160, deadline=None)
+@given(
+    **{**_lowering, "n": st.integers(0, 3)},  # an empty batch too
+    dtype=st.sampled_from([np.float32, np.int64]),
+    every_other_channel=st.booleans(),
+)
+@example(n=0, c=2, height=5, width=6, kernel=3, stride=2, padding=1, seed=0,
+         dtype=np.float32, every_other_channel=True)
+@example(n=2, c=3, height=7, width=7, kernel=3, stride=1, padding=0, seed=1,
+         dtype=np.int64, every_other_channel=True)
+def test_im2col_bitwise_matches_oracle(
+    n, c, height, width, kernel, stride, padding, seed, dtype, every_other_channel
+):
+    x = _lowering_input(n, c * (1 + every_other_channel), height, width, kernel, padding,
+                        seed, dtype)
     if x is None:
         return
+    if every_other_channel:
+        x = x[:, ::2]  # a non-contiguous NCHW view
     want = oracle_im2col(x, kernel, stride, padding)
     got = im2col(x, kernel, stride, padding)
+    out_hw = conv_output_size(height, kernel, stride, padding) * conv_output_size(
+        width, kernel, stride, padding
+    )
+    assert got.shape == (c * kernel * kernel, n * out_hw)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     # channel-major input and a caller buffer give the same columns
-    into = np.full(want.shape, np.nan, dtype=x.dtype)
+    into = np.full_like(want, 99)  # a value no input holds
     chwn = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
     assert im2col(chwn, kernel, stride, padding, out=into, chwn=True) is into
     assert np.array_equal(into, want)
