@@ -82,16 +82,19 @@ smoke_kernels() {
   python -m repro profile --backend fused --network convnet \
     --precision fixed4 --limit 32
   python -m pytest -q tests/kernels/test_parity.py
-  # The rectifier and quantizer oracles again, on numpy's baseline SIMD
-  # loops: which zero fmax returns for a (-0.0, +0.0) tie depends on the
-  # loop numpy dispatches.  The training pins follow the exp/log/tanh
-  # loops too; their canary must notice and skip them, never fail.
+  # The rectifier, quantizer, pooling and layout oracles again, on
+  # numpy's baseline SIMD loops: which zero fmax returns for a
+  # (-0.0, +0.0) tie depends on the loop numpy dispatches, and the pools
+  # walk contiguous or strided views depending on their input's memory
+  # order.  The training pins follow the exp/log/tanh loops too; their
+  # canary must notice and skip them, never fail.
   local dispatched
   dispatched=$(python -c "from numpy._core import _multiarray_umath as m
 print(' '.join(f for f in m.__cpu_dispatch__ if m.__cpu_features__.get(f)))")
   echo "== baseline SIMD loops (NPY_DISABLE_CPU_FEATURES='$dispatched')"
   NPY_DISABLE_CPU_FEATURES="$dispatched" python -m pytest -q \
-    tests/nn/test_activations.py tests/kernels/test_parity.py \
+    tests/nn/test_activations.py tests/nn/test_pooling.py \
+    tests/nn/test_layout.py tests/kernels/test_parity.py \
     tests/core/test_fixed_point.py tests/core/test_training_bitwise.py
 }
 

@@ -210,8 +210,10 @@ def _run_fused(
         flat = ws.get((key, "flat"), (n, c * h * w), np.float32)
         np.copyto(flat.reshape(n, c, h, w), x.transpose(3, 0, 1, 2))
         return flat, "ws", False
-    # a plain view: ownership follows the input
-    return x.reshape(x.shape[0], math.prod(x.shape[1:])), state, False
+    # Flatten's C-ordered result: a view of a C-ordered input, whose
+    # ownership follows it, else a fresh copy
+    flat = np.ascontiguousarray(x.reshape(x.shape[0], math.prod(x.shape[1:])))
+    return flat, (state if flat.base is not None else "fresh"), False
 
 
 def _quant_tail(unit: Unit, out: np.ndarray, ws: Workspace, key: int) -> np.ndarray:

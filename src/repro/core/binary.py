@@ -43,7 +43,9 @@ class BinaryQuantizer(Quantizer):
             # range_hint carries max |x|; the mean scale still comes from
             # the data when available, so hint only guards empty arrays.
             pass
-        mean_abs = float(np.mean(np.abs(x))) if x.size else 0.0
+        # numpy sums in memory order: C order keeps the scale's bits
+        # independent of how the caller laid the values out
+        mean_abs = float(np.mean(np.abs(np.ascontiguousarray(x)))) if x.size else 0.0
         return mean_abs if mean_abs > 0 else 1.0
 
     def quantize(self, x: np.ndarray, range_hint: Optional[float] = None) -> np.ndarray:

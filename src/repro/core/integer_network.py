@@ -202,11 +202,13 @@ class IntegerInference:
     @staticmethod
     def _maxpool(layer: MaxPool2D, codes):
         padded, out = layer._pooled(codes, fill=np.iinfo(np.int64).min)
-        return max_pool(padded, layer.kernel_size, layer.stride, out)
+        max_pool(padded, layer.kernel_size, layer.stride, out, chwn=True)
+        return out.transpose(3, 0, 1, 2)
 
     @staticmethod
     def _avgpool(layer: AvgPool2D, codes):
         """Window sums only; the k^2 divisor is folded into the next
         requantize so the integer path rounds exactly once."""
         padded, out = layer._pooled(codes, fill=0)
-        return sum_pool(padded, layer.kernel_size, layer.stride, out)
+        sum_pool(padded, layer.kernel_size, layer.stride, out, chwn=True)
+        return out.transpose(3, 0, 1, 2)

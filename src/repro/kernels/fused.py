@@ -22,9 +22,10 @@ choices carry the speed without breaking that contract:
 - *channel-major (CHWN) activations*: the im2col matmul naturally
   produces ``(C_out, OH, OW, N)``; since quantize/ReLU are elementwise
   and pooling windows are layout-agnostic, downstream kernels accept
-  that layout directly and the NCHW transpose-copy the reference pays
-  after every convolution happens at most once (at ``Flatten`` or a
-  fallback boundary);
+  that layout directly.  The reference layers keep the same memory
+  order behind NCHW views, so neither path copies after a convolution:
+  both make one C-ordered copy at ``Flatten``, and this path copies to
+  NCHW at a fallback unit or the pipeline boundary;
 - *in-place updates*: a tensor owned by scratch memory is quantized
   and rectified where it sits instead of into a fresh buffer.
 
@@ -160,10 +161,10 @@ def fused_conv2d(
     in-place bias add.
 
     Returns the result in **channel-major** layout ``(C_out, OH, OW,
-    N)`` — a free reshape of the matmul buffer; the reference path's
-    per-layer NCHW transpose-copy is deferred to whoever actually
-    needs NCHW (``to_nchw``).  Input may be NCHW or, with ``chwn_in``,
-    channel-major.
+    N)`` — a free reshape of the matmul buffer, whose NCHW view is what
+    the reference ``Conv2D.forward`` returns; a copy to NCHW memory is
+    left to whoever actually needs it (``to_nchw``).  Input may be
+    NCHW or, with ``chwn_in``, channel-major.
     """
     if chwn_in:
         c, h, w, n = x.shape

@@ -82,6 +82,9 @@ class BatchNorm(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         axes = self._check_shape(x)
+        # numpy orders these reductions by memory layout: a C-ordered
+        # copy keeps the bits independent of the layer before
+        x = np.ascontiguousarray(x)
         if self.training:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
@@ -111,6 +114,7 @@ class BatchNorm(Module):
         std = self._cache["std"]
         axes = self._cache["axes"]
         ndim = self._cache["ndim"]
+        grad_out = np.ascontiguousarray(grad_out)
 
         self.gamma.accumulate_grad((grad_out * x_hat).sum(axis=axes))
         self.beta.accumulate_grad(grad_out.sum(axis=axes))

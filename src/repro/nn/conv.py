@@ -21,6 +21,12 @@ class Conv2D(Module):
     nonlinearity is a separate layer, mirroring both Caffe and the
     accelerator's NFU pipeline (stage 3 applies the nonlinearity).
 
+    NCHW is the shape, not the memory order: the output is the free
+    ``(N, C, H, W)`` transpose of the ``(C_out, OH*OW*N)`` im2col matmul,
+    so its memory is channel-major ``(C, H, W, N)``, which is exactly
+    the source the next conv's im2col and this layer's backward read.
+    Input of either memory order gives the same bits.
+
     Args:
         in_channels / out_channels: channel counts.
         kernel_size: square kernel side ``k``.
@@ -86,33 +92,40 @@ class Conv2D(Module):
 
         cols = im2col(x, self.kernel_size, self.stride, self.padding)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
-        out = w_mat @ cols  # (out_c, N*out_h*out_w)
+        out = w_mat @ cols  # (out_c, out_h*out_w*N)
         if self.bias is not None:
             out += self.bias.data[:, None]
-        out = out.reshape(self.out_channels, out_h, out_w, n).transpose(3, 0, 1, 2)
 
         if self.training:
             self._cache_cols = cols
             self._cache_x_shape = x.shape
-        return np.ascontiguousarray(out, dtype=DTYPE)
+        out = out.reshape(self.out_channels, out_h, out_w, n).transpose(3, 0, 1, 2)
+        return out.astype(DTYPE, copy=False)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache_cols is None:
-            raise ShapeError(f"{self.name}: backward called before forward")
-        n, _, out_h, out_w = grad_out.shape
-        grad_mat = grad_out.transpose(1, 2, 3, 0).reshape(self.out_channels, -1)
-
-        grad_w = (grad_mat @ self._cache_cols.T).reshape(self.weight.data.shape)
-        self.weight.accumulate_grad(grad_w)
-        if self.bias is not None:
-            self.bias.accumulate_grad(grad_mat.sum(axis=1))
-
+        grad_mat = self._accumulate_grads(grad_out)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
         grad_cols = w_mat.T @ grad_mat
         grad_x = col2im(
             grad_cols, self._cache_x_shape, self.kernel_size, self.stride, self.padding
         )
         return grad_x.astype(DTYPE, copy=False)
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        self._accumulate_grads(grad_out)
+
+    def _accumulate_grads(self, grad_out: np.ndarray) -> np.ndarray:
+        """Weight and bias gradients; returns ``grad_out`` as the C-ordered
+        ``(C_out, OH*OW*N)`` matrix, free for a channel-major gradient."""
+        if self._cache_cols is None:
+            raise ShapeError(f"{self.name}: backward called before forward")
+        grad_mat = np.ascontiguousarray(grad_out.transpose(1, 2, 3, 0))
+        grad_mat = grad_mat.reshape(self.out_channels, -1)
+        grad_w = (grad_mat @ self._cache_cols.T).reshape(self.weight.data.shape)
+        self.weight.accumulate_grad(grad_w)
+        if self.bias is not None:
+            self.bias.accumulate_grad(grad_mat.sum(axis=1))
+        return grad_mat
 
     # ------------------------------------------------------------------
     def output_shape(self, input_shape: tuple) -> tuple:

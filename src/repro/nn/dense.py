@@ -14,7 +14,12 @@ from repro.nn.tensor import DTYPE, Parameter
 
 
 class Flatten(Module):
-    """Reshape NCHW feature maps to (N, C*H*W) for inner-product layers."""
+    """Reshape NCHW feature maps to (N, C*H*W) for inner-product layers.
+
+    The output is always C-ordered: this is where the channel-major
+    memory that conv and pool layers hand on gets its one copy, so the
+    inner product's matmul sees the operand it always has.
+    """
 
     def __init__(self, name: str = ""):
         super().__init__(name=name or "flatten")
@@ -26,7 +31,7 @@ class Flatten(Module):
             # concurrent frozen-network forwards race on shared state.
             self._cache_shape = x.shape
         # the explicit feature count keeps an empty batch reshapeable
-        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
+        return np.ascontiguousarray(x.reshape(x.shape[0], math.prod(x.shape[1:])))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache_shape is None:
@@ -88,12 +93,15 @@ class Dense(Module):
         return out.astype(DTYPE, copy=False)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_out)
+        return (grad_out @ self.weight.data.T).astype(DTYPE, copy=False)
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
         if self._cache_x is None:
             raise ShapeError(f"{self.name}: backward called before forward")
         self.weight.accumulate_grad(self._cache_x.T @ grad_out)
         if self.bias is not None:
             self.bias.accumulate_grad(grad_out.sum(axis=0))
-        return (grad_out @ self.weight.data.T).astype(DTYPE, copy=False)
 
     def output_shape(self, input_shape: tuple) -> tuple:
         if int(np.prod(input_shape)) != self.in_features:

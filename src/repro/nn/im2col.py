@@ -5,6 +5,9 @@ same lowering Caffe uses.  :func:`im2col` copies every window at once
 from a read-only strided view of the padded channel-major ``(C, H, W,
 N)`` source; :func:`col2im` and pooling, whose results depend on the
 order they accumulate in, walk the k*k :func:`window_views` in turn.
+Padding is a zero buffer plus one slice copy.  An NCHW input in
+channel-major memory (what ``repro.nn`` conv and pool layers return)
+is already that source, so lowering it copies nothing but the columns.
 """
 
 from __future__ import annotations
@@ -75,8 +78,10 @@ def im2col(
     # a contiguous channel-major source: the copy moves whole batch rows
     src = x if chwn else x.transpose(1, 2, 3, 0)
     if padding:
-        p = (padding, padding)
-        src = np.pad(src, ((0, 0), p, p, (0, 0)))
+        c, h, w, n = src.shape
+        pad = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=src.dtype)
+        pad[:, padding : padding + h, padding : padding + w] = src
+        src = pad
     else:
         src = np.ascontiguousarray(src)
     c, h, w, n = src.shape
@@ -101,6 +106,8 @@ def col2im(
     gradient of the im2col gather.  Kernel offsets are added in
     ascending ``(ki, kj)`` order, so every pixel sums its contributions
     in the order an element-wise scatter over the columns visits them.
+    The result is an NCHW-shaped view of the channel-major ``(C, H, W,
+    N)`` accumulator, not a copy.
     """
     n, c, h, w = x_shape
     out_h = conv_output_size(h, kernel, stride, padding)
@@ -109,5 +116,4 @@ def col2im(
     cols5 = cols.reshape(c, kernel * kernel, out_h, out_w, n)
     for index, view in enumerate(window_views(acc, kernel, stride, out_h, out_w, chwn=True)):
         view += cols5[:, index]
-    interior = acc[:, padding : padding + h, padding : padding + w]
-    return np.ascontiguousarray(interior.transpose(3, 0, 1, 2))
+    return acc[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)

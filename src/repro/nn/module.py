@@ -75,6 +75,15 @@ class Module:
         """
         raise NotImplementedError
 
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """Accumulate the parameter gradients :meth:`backward` would,
+        without the input gradient — for a layer nothing trains below.
+
+        Layers whose input gradient costs real work (conv, dense)
+        override this; the default runs :meth:`backward` and drops it.
+        """
+        self.backward(grad_out)
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 

@@ -50,6 +50,19 @@ class Sequential(Module):
             grad_out = layer.backward(grad_out)
         return grad_out
 
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """Every parameter gradient :meth:`backward` accumulates, and no
+        input gradient: the walk stops at the first layer with
+        parameters, which skips its own input gradient too."""
+        first = next(
+            (i for i, layer in enumerate(self.layers) if layer.parameters()), None
+        )
+        if first is None:
+            return
+        for layer in reversed(self.layers[first + 1 :]):
+            grad_out = layer.backward(grad_out)
+        self.layers[first].backward_params(grad_out)
+
     def predict(self, x: np.ndarray, batch_size: int = 128) -> np.ndarray:
         """Run inference in eval mode, batched; returns stacked outputs."""
         was_training = self.training

@@ -8,7 +8,10 @@ a 32x32 map and yields 16x16, not 15x15).
 Both directions are running walks over the k*k shifted window views
 (:func:`~repro.nn.im2col.window_views`): :func:`max_pool` and
 :func:`sum_pool` never stack the windows, and the fused inference
-kernels and the integer simulator call the same two functions.
+kernels and the integer simulator call the same two functions.  The
+layers take and return NCHW shapes but always walk channel-major
+``(C, H, W, N)`` axes into channel-major buffers, so a conv's output
+is walked with the batch innermost and contiguous.
 """
 
 from __future__ import annotations
@@ -115,7 +118,12 @@ def pool_source(
 
 
 class _Pool2D(Module):
-    """Common machinery for max/avg pooling."""
+    """Common machinery for max/avg pooling.
+
+    Input of either memory order walks on channel-major axes (a
+    channel-major one walks faster); output and input gradient are NCHW
+    views of channel-major buffers, bit for bit what an NCHW walk gives.
+    """
 
     def __init__(
         self,
@@ -143,12 +151,29 @@ class _Pool2D(Module):
         return out_h, out_w
 
     def _pooled(self, x: np.ndarray, fill: float) -> tuple:
-        """Validated input -> (padded source, output buffer)."""
+        """Validated NCHW input -> (padded channel-major source,
+        channel-major output buffer)."""
         if x.ndim != 4:
             raise ShapeError(f"{self.name}: expected NCHW input, got {x.shape}")
-        out_hw = self._out_hw(x.shape[2], x.shape[3])
-        src = pool_source(x, self.kernel_size, self.stride, self.padding, *out_hw, fill)
-        return src, np.empty(x.shape[:2] + out_hw, dtype=src.dtype)
+        n, c, h, w = x.shape
+        out_hw = self._out_hw(h, w)
+        src = pool_source(x.transpose(1, 2, 3, 0), self.kernel_size, self.stride,
+                          self.padding, *out_hw, fill, chwn=True)
+        return src, np.empty((c, *out_hw, n), dtype=src.dtype)
+
+    def _grad_pad(self, grad: np.ndarray) -> tuple:
+        """Zeroed channel-major padded input gradient and its window
+        views, for channel-major ``grad``."""
+        if self._cache is None:
+            raise ShapeError(f"{self.name}: backward called before forward")
+        grad_pad = np.zeros(self._cache["pad_shape"], dtype=DTYPE)
+        return grad_pad, list(_views(grad_pad, self.kernel_size, self.stride, grad, True))
+
+    def _grad_input(self, grad_pad: np.ndarray) -> np.ndarray:
+        """The unpadded interior of ``grad_pad``, as an NCHW view."""
+        _, _, h, w = self._cache["x_shape"]
+        p = self.padding
+        return grad_pad[:, p : p + h, p : p + w].transpose(3, 0, 1, 2)
 
     def output_shape(self, input_shape: tuple) -> tuple:
         c, h, w = input_shape
@@ -160,32 +185,32 @@ class _Pool2D(Module):
 
 
 class MaxPool2D(_Pool2D):
-    """Max pooling; backward routes gradient to the argmax pixel."""
+    """Max pooling; backward routes gradient to the argmax pixel.
+
+    The cached ``argmax`` is an NCHW view of its channel-major buffer.
+    """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x_pad, out = self._pooled(x, fill=-np.inf)
         argmax = None
         if self.training:
             argmax = np.empty(out.shape, dtype=np.min_scalar_type(self.kernel_size**2 - 1))
-        max_pool(x_pad, self.kernel_size, self.stride, out, argmax=argmax)
+        max_pool(x_pad, self.kernel_size, self.stride, out, chwn=True, argmax=argmax)
         if self.training:
             self._cache = {
-                "argmax": argmax,
+                "argmax": argmax.transpose(3, 0, 1, 2),
                 "x_shape": x.shape,
                 "pad_shape": x_pad.shape,
             }
-        return out.astype(DTYPE, copy=False)
+        return out.astype(DTYPE, copy=False).transpose(3, 0, 1, 2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise ShapeError(f"{self.name}: backward called before forward")
-        argmax = self._cache["argmax"]
-        n, c, h, w = self._cache["x_shape"]
-        grad_pad = np.zeros(self._cache["pad_shape"], dtype=DTYPE)
-        views = list(_views(grad_pad, self.kernel_size, self.stride, grad_out, False))
-        grad_bits = np.asarray(grad_out, dtype=DTYPE).view(np.uint32)
-        hit = np.empty(grad_out.shape, dtype=np.bool_)
-        routed = np.empty(grad_out.shape, dtype=np.uint32)
+        grad = grad_out.transpose(1, 2, 3, 0)
+        grad_pad, views = self._grad_pad(grad)
+        argmax = self._cache["argmax"].transpose(1, 2, 3, 0)
+        grad_bits = np.asarray(grad, dtype=DTYPE).view(np.uint32)
+        hit = np.empty(argmax.shape, dtype=np.bool_)
+        routed = np.empty(argmax.shape, dtype=np.uint32)
         # Descending window index is ascending output position for any
         # one pixel of overlapping windows: the order in which a
         # per-output scatter of grad_out accumulates.  Unrouted lanes
@@ -196,8 +221,7 @@ class MaxPool2D(_Pool2D):
             np.multiply(hit, np.uint32(0xFFFFFFFF), out=routed)
             routed &= grad_bits
             views[index] += routed.view(DTYPE)
-        p = self.padding
-        return grad_pad[:, :, p : p + h, p : p + w]
+        return self._grad_input(grad_pad)
 
 
 class AvgPool2D(_Pool2D):
@@ -210,19 +234,16 @@ class AvgPool2D(_Pool2D):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x_pad, out = self._pooled(x, fill=0.0)
-        sum_pool(x_pad, self.kernel_size, self.stride, out)
+        sum_pool(x_pad, self.kernel_size, self.stride, out, chwn=True)
         np.divide(out, float(self.kernel_size**2), out=out)
         if self.training:
             self._cache = {"x_shape": x.shape, "pad_shape": x_pad.shape}
-        return out.astype(DTYPE, copy=False)
+        return out.astype(DTYPE, copy=False).transpose(3, 0, 1, 2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise ShapeError(f"{self.name}: backward called before forward")
-        n, c, h, w = self._cache["x_shape"]
-        grad_pad = np.zeros(self._cache["pad_shape"], dtype=DTYPE)
-        share = grad_out / (self.kernel_size**2)
-        for view in _views(grad_pad, self.kernel_size, self.stride, grad_out, False):
+        grad = grad_out.transpose(1, 2, 3, 0)
+        grad_pad, views = self._grad_pad(grad)
+        share = grad / (self.kernel_size**2)
+        for view in views:
             view += share
-        p = self.padding
-        return grad_pad[:, :, p : p + h, p : p + w]
+        return self._grad_input(grad_pad)

@@ -113,7 +113,13 @@ class Trainer:
 
     # ------------------------------------------------------------------
     def train_step(self, batch_x: np.ndarray, batch_y: np.ndarray) -> float:
-        """One forward/backward/update cycle; returns the batch loss."""
+        """One forward/backward/update cycle; returns the batch loss.
+
+        The backward pass is :meth:`Sequential.backward_params`: the
+        parameter gradients of a full backward, without the input
+        gradient of the first layer that has parameters (or of any
+        layer before it), which no update reads.
+        """
         if self.before_step is not None:
             self.before_step()
         self.network.zero_grad()
@@ -123,7 +129,7 @@ class Trainer:
             raise TrainingError(
                 f"non-finite loss ({loss_value}); training diverged"
             )
-        self.network.backward(grad)
+        self.network.backward_params(grad)
         if self.after_step is not None:
             self.after_step()
         self.optimizer.step()

@@ -661,14 +661,17 @@ class FleetServer(Server):
                     })
                     ring.mark_inflight(slot)
                 except (BrokenPipeError, OSError, EOFError):
-                    # replica died under us: reclaim the batch; the
-                    # monitor handles the respawn
+                    # replica died under us before it saw the batch:
+                    # mark it dead so no dispatcher sends to it again
+                    # (the monitor respawns it) and hand the batch back
+                    # uncharged, as above
                     handle.in_flight.pop(seq, None)
+                    handle.dead = True
                     try:
                         ring.release(slot)
                     except ConfigurationError:
                         pass
-                    self._resubmit(batch)
+                    self._batcher_for_key(key).requeue(batch)
                     return
             self.metrics.counter("fleet.dispatched_batches").inc()
             return

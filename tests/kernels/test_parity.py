@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro import backends, core
 from repro.data import load_dataset
 from repro.errors import QuantizationError
-from repro.nn import Dense
+from repro.nn import Dense, MaxPool2D
 from repro.zoo import build_network, network_info
 from tests.conftest import make_tiny_cnn
 
@@ -145,17 +145,43 @@ def test_fused_parity_through_infer_and_freeze(tiny_digits):
         frozen.thaw()
 
 
-def test_fused_falls_back_on_unknown_layers(tiny_digits):
+def test_fused_falls_back_on_unknown_layers(tiny_digits, monkeypatch):
     """A layer kind without a fused kernel runs through its own forward
     and the surrounding fused units still produce bitwise parity."""
+    _assert_fallback_parity(tiny_digits, monkeypatch, MaxPool2D)
+
+
+class _SubclassedPool(MaxPool2D):
+    """Kinds match exact types, so fused runs this pool's own forward."""
+
+
+def test_fused_flatten_orders_a_fallbacks_channel_major_output(tiny_digits, monkeypatch):
+    """A fallback pool hands Flatten an NCHW view of channel-major
+    memory; the dense matmul still gets the C-ordered operand the
+    reference Flatten gives it, since BLAS may round a transposed
+    operand differently."""
+    _assert_fallback_parity(tiny_digits, monkeypatch, _SubclassedPool)
+
+
+def _assert_fallback_parity(tiny_digits, monkeypatch, pool_cls):
     from repro import nn
+    from repro.backends import fused as fused_module
+
+    operands = []
+    fused_dense = fused_module.fused_dense
+
+    def spy(x, *args):
+        operands.append(x.flags.c_contiguous)
+        return fused_dense(x, *args)
+
+    monkeypatch.setattr(fused_module, "fused_dense", spy)
 
     gen = np.random.default_rng(0)
     net = nn.Sequential(
         [
             nn.Conv2D(1, 4, kernel_size=5, name="conv1", rng=gen),
             nn.Sigmoid(name="sig1"),  # no fused kernel for sigmoid
-            nn.MaxPool2D(2, name="pool1"),
+            pool_cls(2, name="pool1"),
             nn.Flatten(name="flatten"),
             nn.Dense(4 * 12 * 12, 10, name="ip1", rng=gen),
         ],
@@ -167,6 +193,7 @@ def test_fused_falls_back_on_unknown_layers(tiny_digits):
     reference = qnet.infer(x, backend="reference")
     fused = qnet.infer(x, backend="fused")
     _assert_bitwise(reference, fused, "fallback")
+    assert operands and all(operands)
 
 
 def test_swapping_a_layer_recompiles_the_plan(tiny_digits):

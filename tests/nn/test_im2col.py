@@ -172,6 +172,8 @@ def _lowering_input(n, c, height, width, kernel, padding, seed, dtype=np.float32
          dtype=np.float32, every_other_channel=True)
 @example(n=2, c=3, height=7, width=7, kernel=3, stride=1, padding=0, seed=1,
          dtype=np.int64, every_other_channel=True)
+@example(n=3, c=2, height=6, width=5, kernel=3, stride=1, padding=2, seed=2,
+         dtype=np.float32, every_other_channel=False)
 def test_im2col_bitwise_matches_oracle(
     n, c, height, width, kernel, stride, padding, seed, dtype, every_other_channel
 ):
@@ -193,6 +195,8 @@ def test_im2col_bitwise_matches_oracle(
     chwn = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
     assert im2col(chwn, kernel, stride, padding, out=into, chwn=True) is into
     assert np.array_equal(into, want)
+    # an NCHW view of channel-major memory, as conv and pool layers return
+    assert np.array_equal(im2col(chwn.transpose(3, 0, 1, 2), kernel, stride, padding), want)
 
 
 @settings(max_examples=120, deadline=None)

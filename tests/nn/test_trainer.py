@@ -109,3 +109,50 @@ def test_training_is_deterministic_given_seed():
     first, second = run(), run()
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
+
+
+def _lenet_small_qat(seed):
+    from repro.core import QATTrainer, QuantizedNetwork
+    from repro.zoo import build_network
+
+    net = build_network("lenet_small", seed=0)
+    qnet = QuantizedNetwork(net, "fixed8")
+    images = np.random.default_rng(seed).standard_normal((8, 1, 28, 28)).astype(np.float32)
+    qnet.calibrate(images)
+    # quant_in leads: the first layer with parameters is the second
+    assert not qnet.pipeline.layers[0].parameters()
+    trainer = QATTrainer(qnet, nn.SGD(net.parameters(), lr=0.01, momentum=0.9))
+    return trainer, images, np.arange(8) % 10
+
+
+def _dense_first_mlp(seed):
+    net = make_mlp()
+    x, y = linearly_separable(n=16, seed=seed)
+    return nn.Trainer(net, nn.SGD(net.parameters(), lr=0.1)), x, y
+
+
+@pytest.mark.parametrize("build", [_lenet_small_qat, _dense_first_mlp])
+def test_train_step_skips_only_the_unread_input_gradient(build, monkeypatch):
+    """One step's parameter gradients equal a full backward's, bit for
+    bit, though the first layer with parameters never lowers its input
+    gradient (for a conv: no ``W.T @ grad`` and no col2im)."""
+    col2im_shapes = []
+
+    def spy(cols, x_shape, *args):
+        col2im_shapes.append(x_shape)
+        return nn.im2col.col2im(cols, x_shape, *args)
+
+    monkeypatch.setattr(nn.conv, "col2im", spy)
+    grads = []
+    for full in (False, True):
+        trainer, x, y = build(seed=3)
+        if full:  # the reference: Sequential.backward, input gradient and all
+            network = trainer.network
+            monkeypatch.setattr(network, "backward_params", network.backward)
+        col2im_shapes.clear()
+        trainer.train_step(x, y)
+        grads.append([p.grad.tobytes() for p in trainer.network.parameters()])
+        convs = [layer for layer in trainer.network.layers if isinstance(layer, nn.Conv2D)]
+        lowered = convs if full else convs[1:]
+        assert [shape[1] for shape in col2im_shapes] == [c.in_channels for c in lowered[::-1]]
+    assert grads[0] == grads[1]

@@ -228,6 +228,47 @@ def test_resubmit_budget_turns_into_a_typed_failure():
         pending.future.result(timeout=1.0)
 
 
+def test_failed_send_requeues_the_batch_uncharged():
+    """A batch whose send raised never reached a replica: it goes back
+    on its lane without spending resubmission budget, and the replica
+    is marked dead so no dispatcher sends to it again before recovery."""
+    from repro.serve.batcher import Batcher, BatchPolicy
+    from repro.serve.fleet import _ReplicaHandle
+    from repro.serve.ipc import SlotState, TensorRing
+    from repro.serve.request import (
+        InferenceRequest, ModelKey, PendingRequest, ServeFuture,
+    )
+
+    class BrokenConnection:
+        def send(self, message):
+            raise BrokenPipeError("replica gone")
+
+    fleet = FleetServer(FleetConfig(replicas=1))   # never started: unit scope
+    fleet._batchers = [Batcher(BatchPolicy())]
+    ring = TensorRing(0, slots=1, input_bytes=4 * 28 * 28)
+    try:
+        handle = _ReplicaHandle(0, ring)
+        handle.conn = BrokenConnection()
+        handle.ready.set()
+        request = InferenceRequest(
+            image=np.zeros((1, 28, 28), dtype=np.float32),
+            model_key=ModelKey(network="lenet_small", precision="fixed8"),
+            request_id=0,
+            enqueued_at=0.0,
+        )
+        pending = PendingRequest(request=request, future=ServeFuture())
+        fleet._dispatch(handle, [pending])
+        assert handle.dead
+        assert not handle.in_flight
+        assert ring.states() == {0: SlotState.FREE}
+        assert pending.resubmits == 0 and fleet.resubmissions == 0
+        assert fleet._batchers[0].next_batch(timeout=0.5) == [pending]
+        assert not pending.future.done()
+    finally:
+        ring.close()
+        ring.unlink()
+
+
 def test_hash_routing_is_deterministic_and_spread():
     from repro.serve.request import ModelKey
 
