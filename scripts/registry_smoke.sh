@@ -39,8 +39,8 @@ python -m repro registry promote --root "$ROOT" --channel prod "$FIXED_DIGEST"
 
 # Serve the active artifact; the exit code is non-zero on any client
 # error or lost request.
-python -m repro registry serve --root "$ROOT" --channel prod \
-  --requests 32 --concurrency 8 --workers 2
+python -m repro serve-bench --registry "$ROOT" --channel prod \
+  --requests 32 --concurrency 8 --workers 2 --skip-baseline
 
 # Roll back and verify the prior digest is active again.
 python -m repro registry rollback --root "$ROOT" --channel prod

@@ -15,8 +15,10 @@ Commands:
 ``export-rtl``
     Write the generated NFU Verilog for a precision.
 ``serve-bench``
-    Closed-loop load test of the batched inference server: throughput,
-    latency percentiles, batch-size histogram and modeled energy.
+    Closed-loop load test of the batched inference server, in process
+    or on a replica fleet: throughput, latency percentiles, batch-size
+    histogram and modeled energy.  Text and ``--json`` runs share one
+    exit rule (see ``docs/serving.md``).
 ``profile``
     Per-unit profile of quantized inference on the selected backend:
     forward time, FLOPs, bytes moved through the accelerator buffers
@@ -45,9 +47,10 @@ Commands:
     frontier through a channel — see ``docs/search.md``.
 ``registry``
     Model-artifact lifecycle (``repro registry publish|list|promote|
-    rollback|serve``): publish trained weights as content-addressed
-    artifacts, promote them through channels behind the Pareto gate,
-    serve a channel live and roll it back — see ``docs/registry.md``.
+    rollback``): publish trained weights as content-addressed
+    artifacts, promote them through channels behind the Pareto gate
+    and roll them back (``serve-bench --registry`` serves a channel) —
+    see ``docs/registry.md``.
 
 Everything the CLI does is also available programmatically; the CLI
 exists so the common workflows are one command.
@@ -69,7 +72,7 @@ import numpy as np
 
 from repro import backends, control, core, hw, nn, obs, registry, serve
 from repro.core.precision import PAPER_PRECISIONS
-from repro.resilience import chaos_preset, use_injector
+from repro.resilience import chaos_preset
 from repro.core.sweep import PrecisionSweep, SweepConfig
 from repro.data import load_dataset
 from repro.errors import ConfigurationError, RegistryError
@@ -212,9 +215,59 @@ def _apply_backend(args: argparse.Namespace) -> str:
     return backends.get_default()
 
 
-def _bench_payload(args, spec, backend_name, servable, result=None) -> dict:
-    """The JSON fields every serve-bench mode shares; ``result`` adds the
-    ones of a closed-loop run (in-process and fleet modes)."""
+def _serve_bench_server(
+    args: argparse.Namespace,
+    store: serve.ModelStore,
+    max_batch: int,
+    artifact=None,
+    faults=None,
+) -> serve.Server:
+    """Build (unstarted) the server a serve-bench run drives.
+
+    With ``--replicas`` a :class:`~repro.serve.FleetServer` whose
+    replicas build what ``store`` would, deploy the registry
+    ``artifact`` and arm their own ``--chaos`` injectors; otherwise an
+    :class:`~repro.serve.InferenceServer` on ``store`` with ``faults``.
+    """
+    if args.replicas > 0:
+        crash_after = None
+        if args.crash_after > 0:
+            # deterministic chaos: the last replica dies once, mid-run
+            crash_after = (args.replicas - 1, args.crash_after)
+        return serve.FleetServer(serve.FleetConfig(
+            replicas=args.replicas,
+            ring_slots=args.ring_slots,
+            max_batch_size=max_batch,
+            max_delay_ms=args.max_delay_ms,
+            max_queue_depth=args.queue_size,
+            routing=args.routing,
+            seed=store.seed,
+            backend=store.backend,
+            calibration_images=store.calibration_images,
+            weight_paths=store.weight_paths,
+            warm=[(args.network, args.precision)],
+            startup_artifact=artifact,
+            chaos_seed=args.chaos,
+            crash_replica_after=crash_after,
+        ))
+    return serve.InferenceServer(
+        store,
+        workers=args.workers,
+        max_batch_size=max_batch,
+        max_delay_ms=args.max_delay_ms,
+        max_queue_depth=args.queue_size,
+        faults=faults,
+    )
+
+
+def _bench_payload(
+    args, spec, backend_name, servable, artifact, rollout, report, *,
+    result=None, fleet_report=None, canary=None, injector=None,
+    baseline=None, scenario=None, control_section=None,
+) -> dict:
+    """The serve-bench payload: the fields every run shares, then each
+    section that applies to this run.  ``--json`` prints it, the text
+    report renders it, and the exit code is judged on it."""
     payload = {
         "network": args.network,
         "precision": spec.key,
@@ -222,14 +275,22 @@ def _bench_payload(args, spec, backend_name, servable, result=None) -> dict:
         "max_batch": args.max_batch,
         "memory_kb": float(servable.memory_kb),
         "energy_uj_per_image": float(servable.energy_uj_per_image),
+        "report": dataclasses.asdict(report),
     }
+    if artifact is not None:
+        payload["registry"] = dict(
+            zip(("root", "channel", "digest", "version"), artifact)
+        )
+        if rollout is not None:
+            payload["registry"].update(
+                swap_ms=rollout.swap_ms, build_ms=rollout.build_ms
+            )
     if result is not None:
         payload.update({
             "requests": args.requests,
             "concurrency": args.concurrency,
             "deadline_ms": args.deadline_ms if args.deadline_ms > 0 else None,
             "chaos_seed": args.chaos,
-            "report": dataclasses.asdict(result.report),
             "retries": result.retries,
             "client_errors": result.client_errors,
             "deadline_expired": result.deadline_expired,
@@ -237,27 +298,147 @@ def _bench_payload(args, spec, backend_name, servable, result=None) -> dict:
             "accounted": result.accounted,
             "submitted": result.submitted,
         })
+    if fleet_report is None:
+        payload["workers"] = args.workers
+    else:
+        payload.update({
+            "replicas": args.replicas,
+            "routing": args.routing,
+            "ring_slots": args.ring_slots,
+            "crash_after": args.crash_after or None,
+            "replica_compute": dataclasses.asdict(fleet_report.replica_compute),
+            "fleet": {
+                "restarts": fleet_report.restarts,
+                "resubmissions": fleet_report.resubmissions,
+                "replicas": {
+                    str(i): dataclasses.asdict(status)
+                    for i, status in fleet_report.replicas.items()
+                },
+            },
+        })
+    if canary is not None:
+        payload["canary"] = {
+            "outcome": canary.outcome,
+            "digest": canary.digest,
+            "version": canary.version,
+            "replicas": list(canary.canary_indices),
+            "decision": dataclasses.asdict(canary.decision),
+        }
+    if injector is not None:
+        payload["injected_faults"] = injector.counts()
+    if baseline is not None:
+        payload["baseline_report"] = dataclasses.asdict(baseline.report)
+    if scenario is not None:
+        payload["concurrency_profile"] = [
+            {"phase": p.name, "duration_s": p.duration_s,
+             "concurrency": p.concurrency}
+            for p in scenario.phases
+        ]
+        payload["control"] = control_section
     return payload
 
 
-def _print_closed_loop(args, executor: str, report_text: str, result) -> None:
-    """The text report of one closed-loop run and its failure lines."""
+def _serve_bench_exit(args: argparse.Namespace, payload: dict) -> int:
+    """The exit code of one serve-bench run, judged on its payload so
+    the text report and ``--json`` cannot disagree.
+
+    ``--autotune`` exits on its scenario verdict.  Otherwise a lost
+    future always fails; typed client errors fail unless ``--chaos`` or
+    ``--sabotage-canary`` armed the faults that cause them;
+    ``--crash-after`` fails unless the killed replica restarted; and
+    ``--expect`` fails unless the canary outcome matches.
+    """
+    if args.autotune:
+        return 0 if payload["control"]["passed"] else 1
+    failed = (
+        payload["lost"] > 0
+        or (payload["client_errors"] > 0
+            and args.chaos is None and not args.sabotage_canary)
+        or (args.crash_after > 0 and payload["fleet"]["restarts"] < 1)
+        or (args.expect and payload["canary"]["outcome"] != args.expect)
+    )
+    return 1 if failed else 0
+
+
+def _print_bench(args, spec, payload: dict, body: str) -> None:
+    """The text report: one header, the run's ``body``, then each
+    section the payload carries."""
+    print(f"serving {args.network} at {spec.label}: "
+          f"{payload['memory_kb']:.0f} KB footprint, "
+          f"{payload['energy_uj_per_image']:.3f} uJ/image modeled, "
+          f"{payload['backend']} backend")
+    if "registry" in payload:
+        entry = payload["registry"]
+        timing = (
+            f", build {entry['build_ms']:.1f} ms, swap {entry['swap_ms']:.2f} ms"
+            if "swap_ms" in entry else ""
+        )
+        print(f"registry                : {entry['channel']} "
+              f"v{entry['version']} ({entry['digest'][:12]}){timing}")
+    if args.chaos is not None:
+        print(f"chaos                   : fault injection armed, "
+              f"seed {args.chaos}")
+    if args.crash_after > 0:
+        print(f"deterministic crash     : replica {args.replicas - 1} "
+              f"after {args.crash_after} batches")
     print()
-    print(f"closed loop: {args.requests} requests, {args.concurrency} "
-          f"clients, {executor}, max batch {args.max_batch}")
-    print(report_text)
-    for label, count in (
-        ("backpressure retries", result.retries),
-        ("client errors", result.client_errors),
-        ("deadline expired", result.deadline_expired),
-        ("LOST futures", result.lost),
+    print(body)
+    for label, key in (
+        ("backpressure retries", "retries"),
+        ("client errors", "client_errors"),
+        ("deadline expired", "deadline_expired"),
+        ("LOST futures", "lost"),
     ):
-        if count:
-            print(f"{label:<24}: {count}")
+        if payload.get(key):
+            print(f"{label:<24}: {payload[key]}")
+    if "injected_faults" in payload:
+        fired = ", ".join(
+            f"{site}:{count}"
+            for site, count in sorted(payload["injected_faults"].items())
+        ) or "(none)"
+        print(f"injected faults         : {fired}")
+        print(f"accounted               : {payload['accounted']}/"
+              f"{payload['submitted']} (result | deadline | typed error)")
+    if "canary" in payload:
+        canary = payload["canary"]
+        decision = canary["decision"]
+        sabotaged = " (sabotaged)" if args.sabotage_canary else ""
+        print(f"canary                  : {canary['digest'][:12]} on "
+              f"replicas {canary['replicas']}{sabotaged}")
+        print(f"canary outcome          : {canary['outcome']} "
+              f"({decision['reason']})")
+        print(f"canary traffic          : canary "
+              f"{decision['canary_requests']} req "
+              f"(err {decision['canary_error_rate']:.1%}, "
+              f"p99 {decision['canary_p99_ms']:.2f} ms) vs control "
+              f"{decision['control_requests']} req "
+              f"(err {decision['control_error_rate']:.1%}, "
+              f"p99 {decision['control_p99_ms']:.2f} ms)")
+    if "baseline_report" in payload:
+        single = payload["baseline_report"]
+        speedup = (
+            payload["report"]["throughput_ips"] / single["throughput_ips"]
+            if single["throughput_ips"] > 0 else float("inf")
+        )
+        print()
+        print(f"batch=1 reference       : {single['throughput_ips']:.1f} "
+              f"img/s, p95 {single['latency_ms_p95']:.2f} ms")
+        print(f"dynamic batching speedup: {speedup:.2f}x img/s vs max-batch=1")
+    if "control" in payload:
+        section = payload["control"]
+        if section["slo_calibrated"]:
+            print("SLO                     : calibrated, 3x the p99 of an "
+                  "uncontended probe")
+        print(f"tier ladder             : {' > '.join(section['tiers'])}")
+        print("controller actions      :")
+        for action in section["actions"] or ["(none — the SLO held unaided)"]:
+            print(f"  {action}")
 
 
 def cmd_serve_bench(args: argparse.Namespace) -> int:
     backend_name = _apply_backend(args)
+    # flags the chosen engine would ignore fail before anything is
+    # built or spawned
     if args.canary and not args.registry:
         raise RegistryError("--canary needs --registry (artifacts to roll)")
     if args.canary and args.replicas < 2:
@@ -266,158 +447,133 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         raise RegistryError(
             "--canary needs shared routing so both groups see traffic"
         )
-    art_store = channel = None
+    if (args.expect or args.sabotage_canary) and not args.canary:
+        raise ConfigurationError("--expect and --sabotage-canary need --canary")
+    if args.crash_after > 0 and args.replicas == 0:
+        raise ConfigurationError("--crash-after needs --replicas (one to kill)")
+    if args.autotune and args.replicas > 0:
+        raise ConfigurationError(
+            "--autotune scenarios run the in-process engine; drop --replicas"
+        )
+    if args.autotune and args.chaos is not None:
+        raise ConfigurationError(
+            "--autotune with faults is spelled --scenario chaos; drop --chaos"
+        )
+    channel = artifact = rollout = None
     if args.registry:
-        art_store = registry.ArtifactStore(args.registry)
-        channel = registry.Channel(art_store, args.channel)
+        channel = registry.Channel(registry.ArtifactStore(args.registry), args.channel)
         manifest = channel.active_manifest()
         # the channel decides what is served; CLI network/precision
         # flags only apply to registry-less runs
         args.network = manifest.network
         args.precision = manifest.precision
+        entry = channel.active()
+        artifact = (channel.store.root, channel.name, entry.digest, entry.version)
     info = network_info(args.network)
-    split = load_dataset(info.dataset, n_train=64, n_test=128, seed=args.seed)
-    images = split.test.images
+    images = load_dataset(
+        info.dataset, n_train=64, n_test=128, seed=args.seed
+    ).test.images
     store = serve.ModelStore(
         weight_paths={args.network: args.weights} if args.weights else None,
         calibration_images=args.calibration,
         seed=args.seed,
         backend=backend_name,
     )
-    rollout = None
     if channel is not None and args.replicas == 0:
-        deployer = registry.Deployer(art_store, store, seed=args.seed)
+        deployer = registry.Deployer(channel.store, store, seed=args.seed)
         rollout = deployer.rollout(channel)
     servable = store.warm(args.network, args.precision)  # build outside timing
     spec = core.get_precision(args.precision)
-
+    make_payload = functools.partial(
+        _bench_payload, args, spec, backend_name, servable, artifact, rollout
+    )
     if args.autotune:
-        if args.replicas > 0:
-            raise ConfigurationError(
-                "--autotune scenarios run the in-process engine; "
-                "drop --replicas"
-            )
-        if args.chaos is not None:
-            raise ConfigurationError(
-                "--autotune with faults is spelled --scenario chaos; "
-                "drop --chaos"
-            )
-        return _serve_bench_scenario(
-            args, backend_name, art_store, spec, store, images, servable,
+        payload, body = _serve_bench_scenario(args, store, images, make_payload)
+    else:
+        payload, body = _serve_bench_closed_loop(
+            args, store, images, channel, artifact, make_payload
         )
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        _print_bench(args, spec, payload, body)
+    return _serve_bench_exit(args, payload)
 
-    if args.replicas > 0:
-        return _serve_bench_fleet(
-            args, backend_name, art_store, channel, images, servable, spec,
-        )
 
-    if not args.json:
-        print(
-            f"serving {args.network} at {spec.label}: "
-            f"{servable.memory_kb:.0f} KB footprint, "
-            f"{servable.energy_uj_per_image:.3f} uJ/image modeled, "
-            f"{backend_name} backend"
-        )
-        if rollout is not None:
-            print(f"registry rollout        : {args.channel} "
-                  f"v{rollout.version} ({rollout.digest[:12]}), "
-                  f"build {rollout.build_ms:.1f} ms, "
-                  f"swap {rollout.swap_ms:.2f} ms")
-        if args.chaos is not None:
-            print(f"chaos                   : fault injector armed, "
-                  f"seed {args.chaos}")
-
+def _serve_bench_closed_loop(args, store, images, channel, artifact, make_payload):
+    """One closed-loop run on the server the flags select, with a canary
+    riding its traffic under ``--canary``, then the in-process batch-1
+    baseline.  Returns the payload and the text report's body."""
     deadline_ms = args.deadline_ms if args.deadline_ms > 0 else None
 
-    def run(max_batch: int) -> serve.LoadResult:
-        server = serve.InferenceServer(
-            store,
-            workers=args.workers,
-            max_batch_size=max_batch,
-            max_delay_ms=args.max_delay_ms,
-            max_queue_depth=args.queue_size,
+    def closed_loop(server, n_requests: int) -> serve.LoadResult:
+        return serve.run_closed_loop(
+            server, images, args.network, args.precision,
+            n_requests=n_requests, concurrency=args.concurrency,
+            deadline_ms=deadline_ms,
         )
-        with server:
-            return serve.run_closed_loop(
-                server,
-                images,
-                args.network,
-                args.precision,
-                n_requests=args.requests,
-                concurrency=args.concurrency,
-                deadline_ms=deadline_ms,
-            )
 
-    injector = chaos_preset(args.chaos) if args.chaos is not None else None
-    if injector is not None:
-        with use_injector(injector):
-            result = run(args.max_batch)
+    injector = None
+    if args.chaos is not None and args.replicas == 0:
+        # the servable is already warm, so engine.forward is the only
+        # armed site this run reaches
+        injector = chaos_preset(args.chaos)
+    server = _serve_bench_server(args, store, args.max_batch, artifact, injector)
+    fleet = server if args.replicas > 0 else None
+    if fleet is not None:
+        fleet.start(install_signal_handler=True)
     else:
-        result = run(args.max_batch)
+        server.start()
+    canary = None
+    try:
+        controller = None
+        if args.canary:
+            policy = registry.CanaryPolicy(
+                fraction=args.canary_fraction,
+                min_requests=args.canary_min_requests,
+            )
+            controller = registry.CanaryController(
+                fleet, channel.store, channel, policy
+            )
+            controller.begin(args.canary, sabotage=args.sabotage_canary)
+        result = closed_loop(server, args.requests)
+        if controller is not None:
+            decision = controller.decide()
+            rounds = 0
+            while decision.verdict == "wait" and rounds < 5:
+                # uneven work stealing can starve one group early on;
+                # keep the traffic flowing until both groups have data
+                closed_loop(server, max(args.requests // 2, 32))
+                decision = controller.decide()
+                rounds += 1
+            canary = controller.finish(decision)
+    finally:
+        server.stop()
+    freport = fleet.fleet_report() if fleet is not None else None
     baseline = None
-    if not args.skip_baseline and args.max_batch > 1:
-        baseline = run(1)
-
-    # with chaos armed, typed failures are expected; what must never
-    # happen is a submitted request whose future simply never resolves
-    failed = result.lost > 0 or (
-        args.chaos is None and result.client_errors > 0
+    if fleet is None and not args.skip_baseline and args.max_batch > 1:
+        with _serve_bench_server(args, store, 1) as reference:
+            baseline = closed_loop(reference, args.requests)
+    executor = f"{args.workers} workers" if fleet is None else (
+        f"{args.replicas} replicas ({args.routing} routing, "
+        f"{args.ring_slots} ring slots)"
     )
-
-    if args.json:
-        payload = _bench_payload(args, spec, backend_name, servable, result)
-        payload["workers"] = args.workers
-        if rollout is not None:
-            payload["registry"] = {
-                "root": art_store.root,
-                "channel": rollout.channel,
-                "version": rollout.version,
-                "digest": rollout.digest,
-                "swap_ms": rollout.swap_ms,
-                "build_ms": rollout.build_ms,
-            }
-        if injector is not None:
-            payload["injected_faults"] = injector.counts()
-        if baseline is not None:
-            payload["baseline_report"] = dataclasses.asdict(baseline.report)
-        print(json.dumps(payload, indent=2))
-        return 1 if failed else 0
-
-    _print_closed_loop(
-        args, f"{args.workers} workers", result.report.format(), result
+    body = (
+        f"closed loop: {args.requests} requests, {args.concurrency} "
+        f"clients, {executor}, max batch {args.max_batch}\n"
+        + (freport or result.report).format()
     )
-    if injector is not None:
-        fired = ", ".join(
-            f"{site}:{count}" for site, count in sorted(injector.counts().items())
-        ) or "(none)"
-        print(f"injected faults         : {fired}")
-        print(f"accounted               : {result.accounted}/{result.submitted} "
-              "(result | deadline | typed error)")
-
-    if baseline is not None:
-        speedup = (
-            result.report.throughput_ips / baseline.report.throughput_ips
-            if baseline.report.throughput_ips > 0 else float("inf")
-        )
-        print()
-        print(f"batch=1 reference       : "
-              f"{baseline.report.throughput_ips:.1f} img/s, "
-              f"p95 {baseline.report.latency_ms_p95:.2f} ms")
-        print(f"dynamic batching speedup: {speedup:.2f}x img/s vs max-batch=1")
-    return 0 if result.client_errors == 0 else 1
+    payload = make_payload(
+        result.report, result=result, fleet_report=freport, canary=canary,
+        injector=injector, baseline=baseline,
+    )
+    return payload, body
 
 
-def _serve_bench_scenario(
-    args: argparse.Namespace,
-    backend_name: str,
-    art_store,
-    spec,
-    store,
-    images,
-    servable,
-) -> int:
-    """The ``serve-bench --autotune`` path: scenario-driven A/B between
-    the closed-loop controller and a static tier-0 server."""
+def _serve_bench_scenario(args, store, images, make_payload):
+    """The ``--autotune`` A/B driver: one scenario through the
+    closed-loop controller and through a static tier-0 twin.  Returns
+    the payload and the scenario verdict as the text report's body."""
     scenario = control.get_scenario(args.scenario)
     if args.scenario_time_scale != 1.0:
         scenario = scenario.scaled(args.scenario_time_scale)
@@ -425,8 +581,10 @@ def _serve_bench_scenario(
     if args.tiers:
         keys = [key.strip() for key in args.tiers.split(",") if key.strip()]
         ladder = control.TierLadder.from_precisions(keys)
-    elif art_store is not None:
-        ladder = control.TierLadder.from_registry(art_store, args.network)
+    elif args.registry:
+        ladder = control.TierLadder.from_registry(
+            registry.ArtifactStore(args.registry), args.network
+        )
     else:
         ladder = control.TierLadder.from_precisions(
             control.default_tier_keys(args.precision)
@@ -438,25 +596,14 @@ def _serve_bench_scenario(
         )
     # warm every tier and fill modeled energies before any timing starts
     ladder = ladder.priced(store, args.network)
-
-    def factory() -> serve.InferenceServer:
-        return serve.InferenceServer(
-            store,
-            workers=args.workers,
-            max_batch_size=args.max_batch,
-            max_delay_ms=args.max_delay_ms,
-            max_queue_depth=args.queue_size,
-        )
+    factory = functools.partial(_serve_bench_server, args, store, args.max_batch)
 
     slo_ms = args.slo_ms
     if slo_ms <= 0:
-        probe = factory().start()
-        try:
+        with factory() as probe:
             slo_ms = control.calibrate_slo(
                 probe, images, args.network, args.precision
             )
-        finally:
-            probe.stop()
 
     policy = control.SLOPolicy(
         latency_slo_ms=slo_ms,
@@ -471,228 +618,37 @@ def _serve_bench_scenario(
         policy=policy, ladder=ladder, knobs=knobs,
         interval_s=args.control_interval_ms / 1e3,
     )
-    if not args.json:
-        print(
-            f"serving {args.network} at {spec.label} under the "
-            f"{scenario.name} scenario ({scenario.total_duration_s:.1f} s "
-            f"per arm, {backend_name} backend)"
-        )
-        print(f"SLO                     : p99 <= {slo_ms:.2f} ms"
-              + ("  (calibrated)" if args.slo_ms <= 0 else ""))
-        print(f"tier ladder             : {' > '.join(ladder.precisions)}")
-
-    result = runner.judge(
+    verdict, autotuned, static = runner.judge(
         scenario, slo_ms, attainment_target=args.attainment
     )
-    scenario_verdict, autotuned, static = result
-
-    if args.json:
-        payload = _bench_payload(args, spec, backend_name, servable)
-        payload.update({
-            "concurrency_profile": [
-                {"phase": p.name, "duration_s": p.duration_s,
-                 "concurrency": p.concurrency}
-                for p in scenario.phases
-            ],
-            "workers": args.workers,
-            "report": dataclasses.asdict(autotuned.report),
-            "control": {
-                "scenario": scenario.name,
-                "slo_ms": slo_ms,
-                "slo_calibrated": args.slo_ms <= 0,
-                "attainment_target": args.attainment,
-                "attainment": autotuned.attainment,
-                "baseline_attainment": static.attainment,
-                "windows": len(autotuned.loop.history),
-                "p99_ms": autotuned.p99_ms,
-                "baseline_p99_ms": static.p99_ms,
-                "energy_uj_per_request": autotuned.energy_uj_per_request,
-                "baseline_energy_uj_per_request":
-                    static.energy_uj_per_request,
-                "energy_saved_pct": scenario_verdict.energy_saved_pct,
-                "accuracy_loss_bound": scenario_verdict.accuracy_loss_bound,
-                "accuracy_floor": scenario_verdict.accuracy_floor,
-                "tiers": ladder.precisions,
-                "lost": autotuned.lost,
-                "passed": scenario_verdict.passed,
-                "actions": [
-                    action.format() for action in
-                    (autotuned.tuner.actions if autotuned.tuner else [])
-                ],
-                "knob_trajectory": autotuned.loop.knob_trajectory(),
-            },
-        })
-        print(json.dumps(payload, indent=2))
-        return 0 if scenario_verdict.passed else 1
-
-    print()
-    print(scenario_verdict.format())
-    actions = autotuned.tuner.actions if autotuned.tuner else []
-    if actions:
-        print("controller actions      :")
-        for action in actions:
-            print(f"  {action.format()}")
-    else:
-        print("controller actions      : (none — the SLO held unaided)")
-    return 0 if scenario_verdict.passed else 1
-
-
-def _serve_bench_fleet(
-    args: argparse.Namespace,
-    backend_name: str,
-    art_store,
-    channel,
-    images,
-    servable,
-    spec,
-) -> int:
-    """The ``serve-bench --replicas N`` path: multi-process fleet serving,
-    optionally with a registry canary rollout riding the traffic."""
-    deadline_ms = args.deadline_ms if args.deadline_ms > 0 else None
-    warm = [(args.network, args.precision)]
-    startup_artifact = None
-    if channel is not None:
-        entry = channel.active()
-        startup_artifact = (
-            art_store.root, channel.name, entry.digest, entry.version
-        )
-    crash_after = None
-    if args.crash_after > 0:
-        # deterministic chaos: the last replica dies once, mid-run
-        crash_after = (args.replicas - 1, args.crash_after)
-    config = serve.FleetConfig(
-        replicas=args.replicas,
-        ring_slots=args.ring_slots,
-        max_batch_size=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
-        max_queue_depth=args.queue_size,
-        routing=args.routing,
-        seed=args.seed,
-        backend=backend_name,
-        calibration_images=args.calibration,
-        weight_paths={args.network: args.weights} if args.weights else {},
-        warm=warm,
-        startup_artifact=startup_artifact,
-        chaos_seed=args.chaos,
-        crash_replica_after=crash_after,
+    section = {
+        "scenario": scenario.name,
+        "slo_ms": slo_ms,
+        "slo_calibrated": args.slo_ms <= 0,
+        "attainment_target": args.attainment,
+        "attainment": autotuned.attainment,
+        "baseline_attainment": static.attainment,
+        "windows": len(autotuned.loop.history),
+        "p99_ms": autotuned.p99_ms,
+        "baseline_p99_ms": static.p99_ms,
+        "energy_uj_per_request": autotuned.energy_uj_per_request,
+        "baseline_energy_uj_per_request": static.energy_uj_per_request,
+        "energy_saved_pct": verdict.energy_saved_pct,
+        "accuracy_loss_bound": verdict.accuracy_loss_bound,
+        "accuracy_floor": verdict.accuracy_floor,
+        "tiers": ladder.precisions,
+        "lost": autotuned.lost,
+        "passed": verdict.passed,
+        "actions": [
+            action.format() for action in
+            (autotuned.tuner.actions if autotuned.tuner else [])
+        ],
+        "knob_trajectory": autotuned.loop.knob_trajectory(),
+    }
+    payload = make_payload(
+        autotuned.report, scenario=scenario, control_section=section
     )
-    if not args.json:
-        print(
-            f"serving {args.network} at {spec.label} on {args.replicas} "
-            f"replica processes ({args.routing} routing, "
-            f"{args.ring_slots} ring slots, {backend_name} backend)"
-        )
-        if startup_artifact is not None:
-            print(f"registry artifact       : {args.channel} "
-                  f"v{startup_artifact[3]} ({startup_artifact[2][:12]})")
-        if args.chaos is not None:
-            print(f"chaos                   : per-replica injectors armed, "
-                  f"seed {args.chaos}")
-        if crash_after is not None:
-            print(f"deterministic crash     : replica {crash_after[0]} "
-                  f"after {crash_after[1]} batches")
-
-    fleet = serve.FleetServer(config)
-    canary_report = None
-    fleet.start(install_signal_handler=True)
-    try:
-        controller = None
-        if args.canary:
-            policy = registry.CanaryPolicy(
-                fraction=args.canary_fraction,
-                min_requests=args.canary_min_requests,
-            )
-            controller = registry.CanaryController(
-                fleet, art_store, channel, policy
-            )
-            indices = controller.begin(
-                args.canary, sabotage=args.sabotage_canary
-            )
-            if not args.json:
-                sabotaged = " (sabotaged)" if args.sabotage_canary else ""
-                print(f"canary                  : "
-                      f"{args.canary[:12]} on replicas "
-                      f"{list(indices)}{sabotaged}")
-        result = serve.run_closed_loop(
-            fleet, images, args.network, args.precision,
-            n_requests=args.requests, concurrency=args.concurrency,
-            deadline_ms=deadline_ms,
-        )
-        if controller is not None:
-            decision = controller.decide()
-            rounds = 0
-            while decision.verdict == "wait" and rounds < 5:
-                # uneven work stealing can starve one group early on;
-                # keep the traffic flowing until both groups have data
-                serve.run_closed_loop(
-                    fleet, images, args.network, args.precision,
-                    n_requests=max(args.requests // 2, 32),
-                    concurrency=args.concurrency,
-                    deadline_ms=deadline_ms,
-                )
-                decision = controller.decide()
-                rounds += 1
-            canary_report = controller.finish(decision)
-    finally:
-        fleet.stop()
-    freport = fleet.fleet_report()
-
-    # Chaos and sabotage make typed per-request failures expected; a
-    # lost future never is.  A requested deterministic crash must also
-    # prove the rejoin actually happened.
-    failed = result.lost > 0
-    if args.chaos is None and not args.sabotage_canary:
-        failed = failed or result.client_errors > 0
-    if crash_after is not None and freport.restarts < 1:
-        failed = True
-    if args.expect and (
-        canary_report is None or canary_report.outcome != args.expect
-    ):
-        failed = True
-
-    if args.json:
-        payload = _bench_payload(args, spec, backend_name, servable, result)
-        payload.update({
-            "replicas": args.replicas,
-            "routing": args.routing,
-            "ring_slots": args.ring_slots,
-            "crash_after": args.crash_after or None,
-            "replica_compute": dataclasses.asdict(freport.replica_compute),
-            "fleet": {
-                "restarts": freport.restarts,
-                "resubmissions": freport.resubmissions,
-                "replicas": {
-                    str(i): dataclasses.asdict(status)
-                    for i, status in freport.replicas.items()
-                },
-            },
-        })
-        if canary_report is not None:
-            payload["canary"] = {
-                "outcome": canary_report.outcome,
-                "digest": canary_report.digest,
-                "version": canary_report.version,
-                "replicas": list(canary_report.canary_indices),
-                "decision": dataclasses.asdict(canary_report.decision),
-            }
-        print(json.dumps(payload, indent=2))
-        return 1 if failed else 0
-
-    _print_closed_loop(
-        args, f"{args.replicas} replicas", freport.format(), result
-    )
-    if canary_report is not None:
-        decision = canary_report.decision
-        print(f"canary outcome          : {canary_report.outcome} "
-              f"({decision.reason})")
-        print(f"canary traffic          : canary "
-              f"{decision.canary_requests} req "
-              f"(err {decision.canary_error_rate:.1%}, "
-              f"p99 {decision.canary_p99_ms:.2f} ms) vs control "
-              f"{decision.control_requests} req "
-              f"(err {decision.control_error_rate:.1%}, "
-              f"p99 {decision.control_p99_ms:.2f} ms)")
-    return 1 if failed else 0
+    return payload, verdict.format()
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -1274,34 +1230,6 @@ def cmd_registry_rollback(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_registry_serve(args: argparse.Namespace) -> int:
-    store = _registry_store(args)
-    chan = registry.Channel(store, args.channel)
-    manifest = chan.active_manifest()
-    model_store = serve.ModelStore(seed=args.seed)
-    deployer = registry.Deployer(store, model_store, seed=args.seed)
-    report = deployer.rollout(chan)
-    info = network_info(manifest.network)
-    split = load_dataset(info.dataset, n_train=64,
-                         n_test=max(args.requests, 32), seed=args.seed)
-    server = serve.InferenceServer(model_store, workers=args.workers)
-    with server:
-        result = serve.run_closed_loop(
-            server,
-            split.test.images,
-            manifest.network,
-            manifest.precision,
-            n_requests=args.requests,
-            concurrency=args.concurrency,
-        )
-    print(f"served {args.channel} v{report.version} "
-          f"({manifest.short_digest()}): "
-          f"{result.report.throughput_ips:.1f} img/s, "
-          f"p95 {result.report.latency_ms_p95:.2f} ms, "
-          f"{result.client_errors} client errors")
-    return 0 if result.client_errors == 0 and result.lost == 0 else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -1611,10 +1539,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     reg = sub.add_parser(
         "registry",
-        help="model-artifact registry: publish/list/promote/rollback/serve",
+        help="model-artifact registry: publish/list/promote/rollback",
         description="Content-addressed model-artifact lifecycle: publish "
                     "trained weights, promote them through channels behind "
-                    "the Pareto gate, serve a channel and roll it back.",
+                    "the Pareto gate and roll them back (serve a channel "
+                    "with serve-bench --registry).",
     )
     reg_sub = reg.add_subparsers(dest="registry_command", required=True)
 
@@ -1669,17 +1598,6 @@ def build_parser() -> argparse.ArgumentParser:
     reg_rollback.add_argument("--channel", required=True)
     reg_rollback.add_argument("--steps", type=int, default=1)
     reg_rollback.set_defaults(func=cmd_registry_rollback)
-
-    reg_serve = reg_sub.add_parser(
-        "serve", help="deploy a channel and run a short serving loop"
-    )
-    _add_root(reg_serve)
-    reg_serve.add_argument("--channel", required=True)
-    reg_serve.add_argument("--requests", type=int, default=64)
-    reg_serve.add_argument("--concurrency", type=int, default=16)
-    reg_serve.add_argument("--workers", type=int, default=2)
-    reg_serve.add_argument("--seed", type=int, default=0)
-    reg_serve.set_defaults(func=cmd_registry_serve)
     return parser
 
 
@@ -1688,9 +1606,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RegistryError as exc:
-        # typed registry failures (rejected promotions, unknown refs,
-        # failed rollouts) are user errors, not tracebacks
+    except (ConfigurationError, RegistryError) as exc:
+        # inconsistent flags and typed registry failures (rejected
+        # promotions, unknown refs, failed rollouts) are user errors,
+        # not tracebacks
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

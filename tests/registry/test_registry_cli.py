@@ -96,19 +96,6 @@ def test_unknown_ref_exits_nonzero(root, capsys):
     assert "no artifact matches" in capsys.readouterr().err
 
 
-def test_registry_serve_runs_channel(root, capsys):
-    manifest = seed_artifact(root, 0, 0.94, 1.3)
-    assert main(["registry", "promote", "--root", root,
-                 "--channel", "prod", manifest.digest[:12]]) == 0
-    capsys.readouterr()
-    code = main(["registry", "serve", "--root", root, "--channel", "prod",
-                 "--requests", "16", "--concurrency", "4"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "served prod v1" in out
-    assert "0 client errors" in out
-
-
 def test_serve_bench_deploys_channel(root, capsys):
     manifest = seed_artifact(root, 0, 0.94, 1.3)
     assert main(["registry", "promote", "--root", root,

@@ -1,10 +1,14 @@
 """serve-bench CLI smoke tests (small budgets, fast)."""
 
+import contextlib
+import dataclasses
 import json
 
 import pytest
 
+from repro import cli, serve
 from repro.cli import main
+from repro.resilience import FaultInjector, use_injector
 
 
 def test_serve_bench_reports_metrics(capsys):
@@ -125,3 +129,58 @@ def test_serve_bench_fleet_validates_canary_flags(capsys):
         "--canary", "abc123", "--replicas", "1",
     ]) != 0
     assert "--replicas >= 2" in capsys.readouterr().err
+
+
+SMALL_RUN = [
+    "serve-bench", "--network", "lenet_small", "--precision", "fixed8",
+    "--requests", "16", "--workers", "2", "--max-batch", "8",
+    "--concurrency", "4", "--calibration", "16", "--skip-baseline",
+]
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("case, expected", [
+    ("clean", 0),
+    ("failing", 1),
+    ("failing_under_chaos", 0),
+    ("lost_future", 1),
+])
+def test_serve_bench_exit_code_is_one_verdict(monkeypatch, fmt, case, expected):
+    # one rule for both formats: typed failures fail the run unless
+    # chaos was armed to cause them, and a lost future always fails
+    failing = FaultInjector(seed=0).arm("engine.forward", rate=1.0)
+    argv = SMALL_RUN + fmt
+    installed = contextlib.nullcontext()
+    if case == "failing":
+        installed = use_injector(failing)
+    elif case == "failing_under_chaos":
+        monkeypatch.setattr(cli, "chaos_preset", lambda seed: failing)
+        argv += ["--chaos", "0"]
+    elif case == "lost_future":
+        closed_loop = serve.run_closed_loop
+
+        def losing(*args, **kwargs):
+            return dataclasses.replace(closed_loop(*args, **kwargs), lost=1)
+
+        monkeypatch.setattr(serve, "run_closed_loop", losing)
+    with installed:
+        assert main(argv) == expected
+    if case.startswith("failing"):
+        assert failing.counts()["engine.forward"] >= 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--expect", "promoted"],
+    ["--sabotage-canary"],
+    ["--crash-after", "2"],
+    ["--replicas", "1", "--expect", "promoted"],
+    ["--autotune", "--replicas", "2"],
+], ids=["expect", "sabotage", "crash-after", "fleet-expect", "autotune-fleet"])
+def test_serve_bench_rejects_flags_the_engine_would_ignore(
+    monkeypatch, capsys, flags
+):
+    # rejected before any servable is built or replica spawned: with no
+    # ModelStore to call, building anything would raise TypeError
+    monkeypatch.setattr(serve, "ModelStore", None)
+    assert main(SMALL_RUN + flags) == 2
+    assert "error:" in capsys.readouterr().err
