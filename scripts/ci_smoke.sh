@@ -159,6 +159,19 @@ assert promoted[0] == promoted[1], promoted
 print(f"search replay: {replay['cache_hits']} hits, 0 misses, same frontier, "
       f"{len(replay['promoted'])} identical promoted digest(s)")
 EOF
+  # A corrupt resume state is a usage error (exit 2, `error:` on
+  # stderr) that says to delete the file, not a traceback.
+  local state status=0
+  for state in /tmp/repro-search-cache/search-*.json; do
+    printf '{not json' > "$state"
+  done
+  run_search --resume >/dev/null 2>"$OUT/search-corrupt.err" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q '^error: resume:' "$OUT/search-corrupt.err"; then
+    echo "search smoke: a corrupt state file exited $status:" >&2
+    cat "$OUT/search-corrupt.err" >&2
+    return 1
+  fi
+  echo "search resume: a corrupt state file exits 2 with a typed error"
 }
 
 smoke_control() {

@@ -45,7 +45,10 @@ class EvaluatedPoint:
 
 
 class SweepRunner:
-    """Caches datasets, trained sweeps and energy reports per process.
+    """Caches trained sweeps and energy reports per process.
+
+    Splits come straight from :func:`~repro.data.load_dataset`, which
+    synthesizes each recipe once per process.
 
     Beyond the in-process memoization, the runner can parallelize
     accuracy sweeps over worker processes and resume them from the
@@ -77,7 +80,6 @@ class SweepRunner:
         self.refresh = refresh
         self.keep_states = keep_states
         self.energy_model = EnergyModel()
-        self._splits: Dict[str, object] = {}
         self._sweeps: Dict[str, PrecisionSweep] = {}
         self._results: Dict[tuple, PrecisionResult] = {}
         self._energy: Dict[tuple, EnergyReport] = {}
@@ -85,14 +87,12 @@ class SweepRunner:
 
     # ------------------------------------------------------------------
     def split_for(self, dataset: str):
-        if dataset not in self._splits:
-            self._splits[dataset] = load_dataset(
-                dataset,
-                n_train=self.config.n_train,
-                n_test=self.config.n_test,
-                seed=self.config.dataset_seed,
-            )
-        return self._splits[dataset]
+        return load_dataset(
+            dataset,
+            n_train=self.config.n_train,
+            n_test=self.config.n_test,
+            seed=self.config.dataset_seed,
+        )
 
     def _sweep_for(self, trained_name: str, dataset: str) -> PrecisionSweep:
         if trained_name not in self._sweeps:

@@ -197,9 +197,11 @@ class EnergyModel:
         The schedule depends only on layer shapes, so two networks with
         the same name and input shape are assumed architecturally
         identical — true for the registry networks this cache serves.
-        The serving engine calls this once per request batch; scheduling
-        a network costs far more than an inference, so the cache is what
-        makes per-request energy accounting affordable.
+        ``ModelStore`` and the registry's ``Deployer`` call this once
+        per servable build; both serving engines then read the stored
+        ``Servable.energy_uj_per_image``.  The search and
+        ``publish_with_modeled_costs`` price each candidate here, so
+        repeated specs schedule once.
         """
         key = (network.name, tuple(input_shape), spec.key)
         if key not in self._reports:

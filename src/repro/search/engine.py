@@ -385,8 +385,21 @@ class PrecisionSearch:
         if not os.path.exists(path):
             logger.info("search resume: no prior state at %s; fresh run", path)
             return
-        with open(path, "r", encoding="utf-8") as handle:
-            state = json.load(handle)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                state = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(
+                "resume",
+                f"state file {path} is not valid JSON ({exc}); delete it "
+                "to start this search afresh",
+            ) from None
+        if not isinstance(state, dict):
+            raise ConfigError(
+                "resume",
+                f"state file {path} holds a JSON {type(state).__name__}, "
+                "not a search state; delete it to start this search afresh",
+            )
         if state.get("fingerprint") != self.space.fingerprint():
             raise ConfigError(
                 "resume",

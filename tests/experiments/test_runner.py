@@ -5,6 +5,7 @@ import pytest
 
 from repro import core
 from repro.core.sweep import SweepConfig
+from repro.data import DATASET_BUILDERS, synthetic_digits
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SweepRunner
 
@@ -43,8 +44,21 @@ def test_energy_reports_cached(runner):
     assert first is second
 
 
-def test_datasets_cached(runner):
-    assert runner.split_for("digits") is runner.split_for("digits")
+def test_datasets_cached(runner, monkeypatch):
+    builds = []
+
+    def counted(**kwargs):
+        builds.append(kwargs)
+        return synthetic_digits(**kwargs)
+
+    # a new builder is a new memo key: the first split_for synthesizes
+    monkeypatch.setitem(DATASET_BUILDERS, "digits", counted)
+    first, second = runner.split_for("digits"), runner.split_for("digits")
+    assert len(builds) == 1
+    for mine, theirs in zip((first.train, first.val, first.test),
+                            (second.train, second.val, second.test)):
+        assert mine.images is theirs.images
+        assert mine.labels is theirs.labels
 
 
 def test_savings_reference_network(runner):

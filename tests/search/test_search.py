@@ -15,6 +15,7 @@ import pytest
 
 from repro import obs
 from repro.core.sweep import SweepConfig
+from repro.data import synth_digits
 from repro.errors import ConfigError
 from repro.parallel import SweepCache, executor
 from repro.search import PrecisionSearch, SearchConfig, SearchSpace
@@ -145,6 +146,14 @@ def test_warm_replay_reads_no_states_and_keys_each_sweep_once(
     assert sweeps and len(fingerprints) == len(sweeps)
 
 
+def test_warm_replay_synthesizes_no_dataset(searched, cache_root, monkeypatch):
+    # the cold search in this process already synthesized the split
+    renders = count_calls(monkeypatch, synth_digits, "synthesize")
+    resumed = PrecisionSearch(make_config(), cache=cache_root).run(resume=True)
+    assert resumed.cache_misses == 0
+    assert renders == []
+
+
 def test_replay_counts_a_result_only_entry_once_as_a_miss(
     searched, cache_root, tmp_path
 ):
@@ -232,6 +241,17 @@ def test_resume_rejects_a_different_search_space(searched, cache_root):
         json.dump(state, handle)
     with pytest.raises(ConfigError, match="fingerprint"):
         other.run(resume=True)
+
+
+@pytest.mark.parametrize("payload", ["{not json", "[1, 2]"])
+def test_resume_rejects_a_corrupt_state_file(payload, tmp_path):
+    search = PrecisionSearch(make_config(), cache=str(tmp_path))
+    with open(search.state_path(), "w") as handle:
+        handle.write(payload)
+    with pytest.raises(ConfigError, match="delete it") as info:
+        search.run(resume=True)
+    assert info.value.field == "resume"
+    assert search.state_path() in str(info.value)
 
 
 def test_worker_count_does_not_change_results(tmp_path):

@@ -146,6 +146,11 @@ def test_profile_on_the_reference_backend(capsys, backend_flag):
     assert "reference backend" in out and "TOTAL" in out
 
 
+def test_train_with_a_negative_seed_is_a_usage_error(capsys):
+    assert main(["train", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: seed:")
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
