@@ -27,6 +27,7 @@ from repro.nn.optim import SGD, StepDecay
 from repro.nn.serialization import (
     load_network_state,
     network_state,
+    state_digest,
     transfer_weights,
 )
 from repro.nn.trainer import Trainer
@@ -116,6 +117,7 @@ class PrecisionSweep:
         self.cache_keys: Dict[str, str] = {}
         self._float_network: Optional[Sequential] = None
         self._float_result: Optional[PrecisionResult] = None
+        self._init_digest: Optional[Tuple[Callable, str]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -126,6 +128,17 @@ class PrecisionSweep:
     def float_network(self) -> Optional[Sequential]:
         """The trained full-precision network (None until trained)."""
         return self._float_network
+
+    def init_digest(self) -> str:
+        """:func:`~repro.nn.serialization.state_digest` of a fresh build.
+
+        Part of every cache key of this sweep's points.  It is derived
+        once per :attr:`builder` object; assigning another builder
+        derives it again.
+        """
+        if self._init_digest is None or self._init_digest[0] is not self.builder:
+            self._init_digest = (self.builder, state_digest(self.builder()))
+        return self._init_digest[1]
 
     def seed_baseline(
         self, state: Dict[str, np.ndarray], result: PrecisionResult

@@ -30,7 +30,8 @@ import hashlib
 import json
 import logging
 import os
-from typing import Dict, Optional
+import weakref
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -68,13 +69,48 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-sweeps")
 
 
+#: ids of a frozen split's six arrays -> (weak references to them, digest)
+_split_digests: Dict[Tuple[int, ...], Tuple[Tuple[weakref.ref, ...], str]] = {}
+
+
 def split_fingerprint(split: DataSplit) -> str:
     """SHA-256 over the exact contents of all three split parts.
 
     Covers shapes, dtypes and raw bytes of images and labels, so any
     change to dataset size, seed, normalization or augmentation yields
     a different fingerprint (and therefore different cache keys).
+
+    A split whose six arrays all own their memory and are read-only —
+    what :func:`repro.data.load_dataset` hands out — cannot change, so
+    its digest is computed once per process and returned for those
+    same array objects afterwards (checked through weak references; the
+    digest is dropped when an array is freed).  Any writable or view
+    array makes the split hashed on every call.
     """
+    arrays = tuple(
+        array
+        for part in (split.train, split.val, split.test)
+        for array in (part.images, part.labels)
+    )
+    if not all(a.flags.owndata and not a.flags.writeable for a in arrays):
+        return _hash_split(split)
+    key = tuple(map(id, arrays))
+    stored = _split_digests.get(key)
+    if stored is not None and all(
+        ref() is array for ref, array in zip(stored[0], arrays)
+    ):
+        return stored[1]
+    digest = _hash_split(split)
+
+    def forget(_ref: weakref.ref) -> None:
+        _split_digests.pop(key, None)
+
+    _split_digests[key] = (tuple(weakref.ref(a, forget) for a in arrays), digest)
+    return digest
+
+
+def _hash_split(split: DataSplit) -> str:
+    """One SHA-256 pass over every byte of the split."""
     digest = hashlib.sha256()
     for part_name in ("train", "val", "test"):
         part = getattr(split, part_name)

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.core.precision import PrecisionSpec
 from repro.core.sweep import PrecisionResult, PrecisionSweep
 from repro.errors import FaultInjectedError, TrainingError
-from repro.nn.serialization import network_state, state_digest
+from repro.nn.serialization import network_state
 from repro.obs.hooks import ProgressNarrator
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
@@ -89,7 +89,7 @@ def _point_keys(
     sweep: PrecisionSweep, specs: Sequence[PrecisionSpec], cache: SweepCache
 ) -> Dict[str, str]:
     """spec key -> cache key for every requested spec plus ``float32``."""
-    init_digest = state_digest(sweep.builder())
+    init_digest = sweep.init_digest()
     split_fp = split_fingerprint(sweep.split)
     config_fp = config_fingerprint(sweep.config)
     wanted = {spec.key for spec in specs} | {"float32"}

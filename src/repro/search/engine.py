@@ -42,7 +42,7 @@ from repro.core.pareto import DesignPoint, dominates, pareto_frontier
 from repro.core.sweep import PrecisionResult, PrecisionSweep, SweepConfig
 from repro.data import load_dataset
 from repro.errors import ConfigError
-from repro.hw.energy import EnergyModel
+from repro.hw.energy import SHARED_ENERGY_MODEL, EnergyModel
 from repro.ioutil import atomic_write
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
@@ -184,8 +184,13 @@ class PrecisionSearch:
             the resolved cache is re-salted with the space fingerprint
             so entries can never leak between different spaces.  The
             default ``None`` disables caching (and ``resume``).
-        energy_model: shared analytical model (one instance memoizes
-            per-width schedules across the whole search).
+        energy_model: analytical model that prices every candidate
+            through :meth:`~repro.hw.energy.EnergyModel.evaluate_cached`.
+            The default, :data:`~repro.hw.energy.SHARED_ENERGY_MODEL`,
+            is one instance per process, so each (network, spec) is
+            scheduled once however many searches or replays run; pass
+            a model of your own for a private memo or another design
+            point.
     """
 
     def __init__(
@@ -200,7 +205,7 @@ class PrecisionSearch:
         self.cache: Optional[SweepCache] = None
         if resolved is not None:
             self.cache = SweepCache(resolved.root, salt=self.space.fingerprint())
-        self.energy_model = energy_model or EnergyModel()
+        self.energy_model = energy_model or SHARED_ENERGY_MODEL
         info = network_info(self.space.task)
         self._input_shape = info.input_shape
         with get_tracer().span(
@@ -215,13 +220,13 @@ class PrecisionSearch:
                 n_test=config.n_test,
                 seed=config.dataset_seed,
             )
-        template = build_network(self.space.task, seed=config.sweep.seed)
-        self.n_layers = len(
-            [l for l in template.layers
-             if getattr(l, "weight_parameters", None) and l.weight_parameters()]
-        )
         self._sweeps: Dict[str, PrecisionSweep] = {}
         self._networks: Dict[str, object] = {}
+        # the width-1.0 network: the anchors' pricing network too
+        self.n_layers = len(
+            [l for l in self._network(self.space.task).layers
+             if getattr(l, "weight_parameters", None) and l.weight_parameters()]
+        )
 
     # -- plumbing ------------------------------------------------------
     def _sweep(self, network: str) -> PrecisionSweep:

@@ -44,6 +44,12 @@ def test_energy_reports_cached(runner):
     assert first is second
 
 
+def test_runners_share_the_process_wide_energy_memo(runner):
+    first = runner.energy_report("lenet", core.get_precision("fixed8"))
+    other = SweepRunner(runner.config)
+    assert other.energy_report("lenet", core.get_precision("fixed8")) is first
+
+
 def test_datasets_cached(runner, monkeypatch):
     builds = []
 

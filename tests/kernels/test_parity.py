@@ -32,15 +32,6 @@ PRECISION_KEYS = [
     "float32", "fixed32", "fixed16", "fixed8", "fixed4", "pow2", "binary",
 ]
 
-_SPLITS = {}
-
-
-def _split(dataset):
-    if dataset not in _SPLITS:
-        _SPLITS[dataset] = load_dataset(dataset, n_train=48, n_test=24, seed=0)
-    return _SPLITS[dataset]
-
-
 def _assert_bitwise(reference, fused, context):
     assert reference.shape == fused.shape, context
     assert reference.dtype == fused.dtype, context
@@ -64,7 +55,9 @@ def test_fused_matches_reference_bitwise(
     """Property: for every Table III precision, on real zoo networks,
     calibrated or not, any batch split, the fused backend's logits are
     bitwise identical to the reference backend's."""
-    split = _split(network_info(net_name).dataset)
+    split = load_dataset(
+        network_info(net_name).dataset, n_train=48, n_test=24, seed=0
+    )
     qnet = core.QuantizedNetwork(build_network(net_name, seed=0), key)
     if calibrated:
         qnet.calibrate(split.train.images[:32])

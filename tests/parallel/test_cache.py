@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core.precision import get_precision
-from repro.core.sweep import PrecisionResult, SweepConfig
-from repro.data import load_dataset
+from repro.core.sweep import PrecisionResult, PrecisionSweep, SweepConfig
+from repro.data import DataSplit, Dataset, load_dataset
 from repro.nn.serialization import state_digest
+from repro.parallel import cache as cache_module
 from repro.parallel.cache import (
     SweepCache,
     config_fingerprint,
@@ -94,6 +95,99 @@ def test_key_recipe_stable_across_processes(tmp_path):
         config_fingerprint(SweepConfig()),
     )
     assert child.stdout.strip() == expected
+
+
+# -- stored digests ----------------------------------------------------
+
+def count_split_hashes(monkeypatch):
+    """Count the SHA-256 passes ``split_fingerprint`` makes over split bytes."""
+    hashed = []
+    original = cache_module._hash_split
+
+    def counted(split):
+        hashed.append(split)
+        return original(split)
+
+    monkeypatch.setattr(cache_module, "_hash_split", counted)
+    return hashed
+
+
+def rebuilt(split, **arrays):
+    """``split`` in new containers; ``arrays`` replaces e.g. ``test_images``."""
+    return DataSplit(*(
+        Dataset(
+            arrays.get(f"{name}_images", part.images),
+            arrays.get(f"{name}_labels", part.labels),
+            list(part.class_names),
+            part.name,
+        )
+        for name, part in (
+            ("train", split.train), ("val", split.val), ("test", split.test)
+        )
+    ))
+
+
+def writable_copy(split):
+    return rebuilt(split, **{
+        f"{name}_{kind}": np.array(getattr(getattr(split, name), kind))
+        for name in ("train", "val", "test")
+        for kind in ("images", "labels")
+    })
+
+
+def test_stored_split_digest_equals_a_fresh_hash_of_writable_copies():
+    split = load_dataset("digits", n_train=40, n_test=30, seed=4)
+    stored = split_fingerprint(split)
+    assert split_fingerprint(split) == stored
+    copy = writable_copy(split)
+    assert copy.train.images.flags.writeable
+    assert split_fingerprint(copy) == stored
+
+
+def test_repeat_load_dataset_split_hashes_nothing(monkeypatch):
+    recipe = dict(n_train=40, n_test=30, seed=5)
+    expected = split_fingerprint(load_dataset("digits", **recipe))
+    hashed = count_split_hashes(monkeypatch)
+    assert split_fingerprint(load_dataset("digits", **recipe)) == expected
+    assert hashed == []
+
+
+def test_writable_split_fingerprint_follows_an_in_place_edit(monkeypatch):
+    split = writable_copy(load_dataset("digits", n_train=40, n_test=30, seed=4))
+    before = split_fingerprint(split)
+    hashed = count_split_hashes(monkeypatch)
+    split.train.images[0, 0, 0, 0] += 1.0
+    assert split_fingerprint(split) != before
+    assert len(hashed) == 1
+
+
+def test_read_only_view_follows_an_edit_of_its_writable_base():
+    split = load_dataset("digits", n_train=40, n_test=30, seed=4)
+    base = np.array(split.test.images)
+    view = base[:]
+    view.flags.writeable = False
+    # the other five arrays are the memo's own, read-only ones
+    mixed = rebuilt(split, test_images=view)
+    before = split_fingerprint(mixed)
+    base[0, 0, 0, 0] += 1.0
+    assert split_fingerprint(mixed) != before
+
+
+def test_replacing_a_sweeps_builder_derives_a_new_init_digest():
+    builds = []
+
+    def builder(seed):
+        builds.append(seed)
+        return make_tiny_cnn(seed)
+
+    split = load_dataset("digits", n_train=40, n_test=30, seed=4)
+    sweep = PrecisionSweep(lambda: builder(1), split)
+    first = sweep.init_digest()
+    assert sweep.init_digest() == first
+    assert builds == [1]
+    sweep.builder = lambda: builder(2)
+    assert sweep.init_digest() == state_digest(make_tiny_cnn(2)) != first
+    assert builds == [1, 2]
 
 
 # -- hit / miss / refresh ----------------------------------------------

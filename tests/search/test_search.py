@@ -7,6 +7,7 @@ widths {0.5, 1.0} and bits {2, 4, 8} deterministically discovers
 scaled/layered points that dominate the fixed paper grid.
 """
 
+import collections
 import json
 import os
 import shutil
@@ -14,11 +15,16 @@ import shutil
 import pytest
 
 from repro import obs
+from repro.core.precision import get_precision
 from repro.core.sweep import SweepConfig
 from repro.data import synth_digits
 from repro.errors import ConfigError
+from repro.hw.energy import EnergyModel
 from repro.parallel import SweepCache, executor
+from repro.parallel import cache as cache_module
+from repro.parallel.cache import split_fingerprint
 from repro.search import PrecisionSearch, SearchConfig, SearchSpace
+from repro.search import engine
 
 BUDGET_UJ = 50.0
 
@@ -142,8 +148,27 @@ def test_warm_replay_reads_no_states_and_keys_each_sweep_once(
     resumed = PrecisionSearch(make_config(), cache=cache_root).run(resume=True)
     assert resumed.cache_misses == 0
     assert state_reads == []
-    # one key computation (one split fingerprint) per run_sweep call
+    # one key computation (one split_fingerprint call, which may return
+    # the split's stored digest) per run_sweep call
     assert sweeps and len(fingerprints) == len(sweeps)
+
+
+def test_warm_replay_hashes_no_split_and_schedules_no_energy(
+    searched, cache_root, monkeypatch
+):
+    # the cold search in this process hashed the split and priced every
+    # candidate on the process-wide energy model
+    hashed = count_calls(monkeypatch, cache_module, "_hash_split")
+    schedules = count_calls(monkeypatch, EnergyModel, "evaluate")
+    builds = count_calls(monkeypatch, engine, "build_network")
+    resumed = PrecisionSearch(make_config(), cache=cache_root).run(resume=True)
+    assert resumed.cache_misses == 0
+    assert hashed == []
+    assert schedules == []
+    # per network name: one build for its init digest, one for pricing
+    assert collections.Counter(args[0] for args in builds) == {
+        entry.candidate.network: 2 for entry in resumed.evaluated
+    }
 
 
 def test_warm_replay_synthesizes_no_dataset(searched, cache_root, monkeypatch):
@@ -152,6 +177,33 @@ def test_warm_replay_synthesizes_no_dataset(searched, cache_root, monkeypatch):
     resumed = PrecisionSearch(make_config(), cache=cache_root).run(resume=True)
     assert resumed.cache_misses == 0
     assert renders == []
+
+
+def test_perfbench_search_keys_keep_their_pinned_values(tmp_path):
+    """Storing the space fingerprint, split digest and init digest
+    changes no key of perfbench's ``train`` search at seed 101 (same
+    space, split and sweep budget)."""
+    search = PrecisionSearch(
+        make_config(
+            sweep=SweepConfig(float_epochs=1, qat_epochs=1, seed=101),
+            dataset_seed=101,
+        ),
+        cache=str(tmp_path),
+    )
+    assert search.space.fingerprint() == (
+        "d961cc7c251f11c73ffb0747c56c21636c3af1138b14fa12dbe354f8bff2fe30"
+    )
+    assert split_fingerprint(search.split) == (
+        "5c414c28fafe2e3cc35f758d73840e57ab57600ea07655dc852c271ece91ea68"
+    )
+    sweep = search._sweep("lenet_small")
+    for _ in range(2):  # derived, then stored
+        keys = executor._point_keys(
+            sweep, [get_precision("fixed8")], search.cache
+        )
+        assert keys["fixed8"] == (
+            "c9777743f3fc428ef0f2a756fc3a45be60dcff68728d19b18e7a4cf942c7cb1d"
+        )
 
 
 def test_replay_counts_a_result_only_entry_once_as_a_miss(

@@ -18,7 +18,6 @@ checks repeat the source line.  A new hook on the request path joins
 the list in ``request_path``.
 """
 
-import statistics
 import time
 import timeit
 from dataclasses import dataclass
@@ -83,12 +82,17 @@ class Pricing:
 
 
 def _ns_per_call(stmt: str, namespace: Dict[str, object]) -> float:
-    """Median of 5 timings, each of enough calls to last >= 2 ms."""
+    """Fastest of 5 timings, each of enough calls to last >= 2 ms.
+
+    Interference on the host only ever adds time, so the fastest
+    window is the estimate, as ``timeit`` documents: a median moves
+    with any stall that covers three of the five windows.
+    """
     timer = timeit.Timer(stmt, globals=namespace)
     number = 1
     while timer.timeit(number) < 2e-3:
         number *= 10
-    return 1e9 * statistics.median(timer.repeat(5, number)) / number
+    return 1e9 * min(timer.repeat(5, number)) / number
 
 
 def price(hooks: Sequence[Hook], namespace: Dict[str, object],
