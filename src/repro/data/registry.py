@@ -8,12 +8,14 @@ A recipe (builder, sizes, seed, validation fraction, normalization)
 always yields the same bytes, so a process synthesizes each split
 once: the last :data:`SPLIT_MEMO_SIZE` recipes' arrays stay in memory,
 read-only, and every call wraps them in new containers.
+:func:`is_memoized` tells those arrays from any other.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+import weakref
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -90,6 +92,10 @@ def load_dataset(
     ))
 
 
+#: id -> weak reference of every array :func:`_synthesized_split` froze
+_memo_arrays: Dict[int, weakref.ref] = {}
+
+
 @functools.lru_cache(maxsize=SPLIT_MEMO_SIZE)
 def _synthesized_split(
     builder: Callable,
@@ -120,6 +126,21 @@ def _synthesized_split(
             f"{val_fraction:.0%} of each class (at least one per class)",
         )
     for part in (train, val, test):
-        part.images.flags.writeable = False
-        part.labels.flags.writeable = False
+        for array in (part.images, part.labels):
+            array.flags.writeable = False
+            _memo_arrays[id(array)] = weakref.ref(
+                array, lambda _ref, key=id(array): _memo_arrays.pop(key, None)
+            )
     return train, val, test
+
+
+def is_memoized(array: np.ndarray) -> bool:
+    """Whether ``array`` is one of the split memo's own arrays.
+
+    Those are read-only from birth and shared by every caller, so their
+    bytes never change while they live, and a fact derived from them
+    (``parallel.cache.split_fingerprint``'s digest) can be kept.  Any
+    other array, read-only or not, may still change.
+    """
+    ref = _memo_arrays.get(id(array))
+    return ref is not None and ref() is array

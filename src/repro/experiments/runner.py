@@ -15,7 +15,7 @@ from repro.core.precision import PAPER_PRECISIONS, PrecisionSpec
 from repro.core.sweep import PrecisionResult, PrecisionSweep
 from repro.data.registry import load_dataset
 from repro.experiments.config import ExperimentConfig
-from repro.hw.energy import SHARED_ENERGY_MODEL, EnergyReport
+from repro.hw.energy import EnergyModel, EnergyReport
 from repro.obs.tracer import get_tracer
 from repro.zoo.registry import build_network, network_info
 
@@ -79,7 +79,7 @@ class SweepRunner:
         self.cache = cache
         self.refresh = refresh
         self.keep_states = keep_states
-        self.energy_model = SHARED_ENERGY_MODEL
+        self.energy_model = EnergyModel()
         self._sweeps: Dict[str, PrecisionSweep] = {}
         self._results: Dict[tuple, PrecisionResult] = {}
         self._energy_networks: Dict[str, object] = {}
@@ -178,10 +178,9 @@ class SweepRunner:
         """Per-image energy of the *paper* architecture (cached).
 
         The energy model only reads layer shapes, so one built network
-        per architecture serves every precision spec.  Reports come
-        from :meth:`EnergyModel.evaluate_cached` on the process-wide
-        :data:`~repro.hw.energy.SHARED_ENERGY_MODEL`, so every runner
-        in the process shares them.
+        per architecture serves every precision spec, and
+        :meth:`EnergyModel.evaluate_cached` on the runner's model
+        schedules each (architecture, spec) once.
         """
         if paper_network not in self._energy_networks:
             self._energy_networks[paper_network] = build_network(paper_network)

@@ -203,21 +203,14 @@ class EnergyModel:
         ``publish_with_modeled_costs`` price each candidate here, so
         repeated specs schedule once.
 
-        :class:`~repro.search.PrecisionSearch` and
-        :class:`~repro.experiments.runner.SweepRunner` default to
-        :data:`SHARED_ENERGY_MODEL`, so each (network, input shape,
-        spec) they price is scheduled once per process, however many
-        searches, replays or runners ask.  A ``ModelStore`` keeps its
-        own model, and so its own memo.
+        The memo belongs to the instance: a
+        :class:`~repro.search.PrecisionSearch`, a
+        :class:`~repro.experiments.runner.SweepRunner` and a
+        ``ModelStore`` each make their own model unless handed one, so
+        callers that pass one model to several of them share its
+        schedules.
         """
         key = (network.name, tuple(input_shape), spec.key)
         if key not in self._reports:
             self._reports[key] = self.evaluate(network, input_shape, spec)
         return self._reports[key]
-
-
-#: The process-wide model the search and the experiment runner price
-#: with unless handed another: one memo of schedules per process.  It
-#: keeps every report it computes (about 2 KB each) for the life
-#: of the process.
-SHARED_ENERGY_MODEL = EnergyModel()

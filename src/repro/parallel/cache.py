@@ -38,6 +38,7 @@ import numpy as np
 from repro.core.precision import PrecisionSpec
 from repro.core.sweep import PrecisionResult, SweepConfig
 from repro.data.dataset import DataSplit
+from repro.data.registry import is_memoized
 from repro.errors import FaultInjectedError
 from repro.ioutil import atomic_write
 from repro.resilience.faults import get_injector
@@ -80,19 +81,20 @@ def split_fingerprint(split: DataSplit) -> str:
     change to dataset size, seed, normalization or augmentation yields
     a different fingerprint (and therefore different cache keys).
 
-    A split whose six arrays all own their memory and are read-only —
-    what :func:`repro.data.load_dataset` hands out — cannot change, so
-    its digest is computed once per process and returned for those
-    same array objects afterwards (checked through weak references; the
-    digest is dropped when an array is freed).  Any writable or view
-    array makes the split hashed on every call.
+    A split whose six arrays all come from
+    :func:`repro.data.load_dataset`'s memo
+    (:func:`~repro.data.registry.is_memoized`) cannot change, so its
+    digest is computed once per process and returned for those same
+    array objects afterwards (checked through weak references; the
+    digest is dropped when an array is freed).  Any other split is
+    hashed on every call.
     """
     arrays = tuple(
         array
         for part in (split.train, split.val, split.test)
         for array in (part.images, part.labels)
     )
-    if not all(a.flags.owndata and not a.flags.writeable for a in arrays):
+    if not all(map(is_memoized, arrays)):
         return _hash_split(split)
     key = tuple(map(id, arrays))
     stored = _split_digests.get(key)

@@ -42,7 +42,7 @@ from repro.core.pareto import DesignPoint, dominates, pareto_frontier
 from repro.core.sweep import PrecisionResult, PrecisionSweep, SweepConfig
 from repro.data import load_dataset
 from repro.errors import ConfigError
-from repro.hw.energy import SHARED_ENERGY_MODEL, EnergyModel
+from repro.hw.energy import EnergyModel
 from repro.ioutil import atomic_write
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
@@ -185,12 +185,10 @@ class PrecisionSearch:
             so entries can never leak between different spaces.  The
             default ``None`` disables caching (and ``resume``).
         energy_model: analytical model that prices every candidate
-            through :meth:`~repro.hw.energy.EnergyModel.evaluate_cached`.
-            The default, :data:`~repro.hw.energy.SHARED_ENERGY_MODEL`,
-            is one instance per process, so each (network, spec) is
-            scheduled once however many searches or replays run; pass
-            a model of your own for a private memo or another design
-            point.
+            through :meth:`~repro.hw.energy.EnergyModel.evaluate_cached`,
+            so each (network, spec) is scheduled once per model.  The
+            default is a new model per search; pass one model to
+            several searches (a replay, say) to share its schedules.
     """
 
     def __init__(
@@ -205,7 +203,7 @@ class PrecisionSearch:
         self.cache: Optional[SweepCache] = None
         if resolved is not None:
             self.cache = SweepCache(resolved.root, salt=self.space.fingerprint())
-        self.energy_model = energy_model or SHARED_ENERGY_MODEL
+        self.energy_model = energy_model or EnergyModel()
         info = network_info(self.space.task)
         self._input_shape = info.input_shape
         with get_tracer().span(

@@ -17,7 +17,6 @@ search bitwise-reproducible at any worker count.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -121,15 +120,7 @@ class SearchSpace:
 
     # ------------------------------------------------------------------
     def fingerprint(self) -> str:
-        """SHA-256 over the full space definition (the cache salt).
-
-        Computed once per space.  The stored digest is no dataclass
-        field, so ``asdict`` (and with it the digest) never sees it.
-        """
-        return self._fingerprint
-
-    @functools.cached_property
-    def _fingerprint(self) -> str:
+        """SHA-256 over the full space definition (the cache salt)."""
         payload = json.dumps(
             dataclasses.asdict(self), sort_keys=True, default=str
         )

@@ -8,6 +8,7 @@ from repro.core.sweep import SweepConfig
 from repro.data import DATASET_BUILDERS, synthetic_digits
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SweepRunner
+from repro.zoo import build_network, network_info
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +45,12 @@ def test_energy_reports_cached(runner):
     assert first is second
 
 
-def test_runners_share_the_process_wide_energy_memo(runner):
-    first = runner.energy_report("lenet", core.get_precision("fixed8"))
-    other = SweepRunner(runner.config)
-    assert other.energy_report("lenet", core.get_precision("fixed8")) is first
+def test_energy_reports_are_the_models_own_memo(runner):
+    spec = core.get_precision("fixed8")
+    report = runner.energy_report("lenet", spec)
+    assert runner.energy_model.evaluate_cached(
+        build_network("lenet"), network_info("lenet").input_shape, spec
+    ) is report
 
 
 def test_datasets_cached(runner, monkeypatch):

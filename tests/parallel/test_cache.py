@@ -173,6 +173,24 @@ def test_read_only_view_follows_an_edit_of_its_writable_base():
     assert split_fingerprint(mixed) != before
 
 
+def test_a_frozen_copy_is_hashed_on_every_call(monkeypatch):
+    # owned and read-only like the memo's arrays, but not the memo's:
+    # whoever froze them may thaw and edit them
+    split = writable_copy(load_dataset("digits", n_train=40, n_test=30, seed=4))
+    arrays = [getattr(getattr(split, name), kind)
+              for name in ("train", "val", "test")
+              for kind in ("images", "labels")]
+    for array in arrays:
+        array.flags.writeable = False
+    before = split_fingerprint(split)
+    hashed = count_split_hashes(monkeypatch)
+    arrays[0].flags.writeable = True
+    arrays[0][0, 0, 0, 0] += 1.0
+    arrays[0].flags.writeable = False
+    assert split_fingerprint(split) != before
+    assert len(hashed) == 1
+
+
 def test_replacing_a_sweeps_builder_derives_a_new_init_digest():
     builds = []
 

@@ -22,7 +22,7 @@ from repro.errors import ConfigError
 from repro.hw.energy import EnergyModel
 from repro.parallel import SweepCache, executor
 from repro.parallel import cache as cache_module
-from repro.parallel.cache import split_fingerprint
+from repro.parallel.cache import config_fingerprint, split_fingerprint
 from repro.search import PrecisionSearch, SearchConfig, SearchSpace
 from repro.search import engine
 
@@ -153,15 +153,18 @@ def test_warm_replay_reads_no_states_and_keys_each_sweep_once(
     assert sweeps and len(fingerprints) == len(sweeps)
 
 
-def test_warm_replay_hashes_no_split_and_schedules_no_energy(
+def test_warm_replay_hashes_no_split_and_builds_two_networks_per_name(
     searched, cache_root, monkeypatch
 ):
+    search, _ = searched
     # the cold search in this process hashed the split and priced every
-    # candidate on the process-wide energy model
+    # candidate on its energy model, which the replay is handed
     hashed = count_calls(monkeypatch, cache_module, "_hash_split")
     schedules = count_calls(monkeypatch, EnergyModel, "evaluate")
     builds = count_calls(monkeypatch, engine, "build_network")
-    resumed = PrecisionSearch(make_config(), cache=cache_root).run(resume=True)
+    resumed = PrecisionSearch(
+        make_config(), cache=cache_root, energy_model=search.energy_model
+    ).run(resume=True)
     assert resumed.cache_misses == 0
     assert hashed == []
     assert schedules == []
@@ -182,7 +185,9 @@ def test_warm_replay_synthesizes_no_dataset(searched, cache_root, monkeypatch):
 def test_perfbench_search_keys_keep_their_pinned_values(tmp_path):
     """Storing the space fingerprint, split digest and init digest
     changes no key of perfbench's ``train`` search at seed 101 (same
-    space, split and sweep budget)."""
+    space, split and sweep budget).  The key itself also mixes in
+    ``repro.__version__``, so the test pins the parts and recomputes
+    the key from them."""
     search = PrecisionSearch(
         make_config(
             sweep=SweepConfig(float_epochs=1, qat_epochs=1, seed=101),
@@ -190,19 +195,30 @@ def test_perfbench_search_keys_keep_their_pinned_values(tmp_path):
         ),
         cache=str(tmp_path),
     )
-    assert search.space.fingerprint() == (
+    space_fp = search.space.fingerprint()
+    assert space_fp == (
         "d961cc7c251f11c73ffb0747c56c21636c3af1138b14fa12dbe354f8bff2fe30"
     )
-    assert split_fingerprint(search.split) == (
+    split_fp = split_fingerprint(search.split)
+    assert split_fp == (
         "5c414c28fafe2e3cc35f758d73840e57ab57600ea07655dc852c271ece91ea68"
     )
     sweep = search._sweep("lenet_small")
+    config_fp = config_fingerprint(sweep.config)
+    assert config_fp == (
+        "2e16fa1d57965f150e3f209e28e1ef8161c0e588babce0b470bbe1f490c7fc9c"
+    )
     for _ in range(2):  # derived, then stored
+        init_digest = sweep.init_digest()
+        assert init_digest == (
+            "95c634d9fe7b3ca54d31166a42f64cbf54fbcf3dcd98251adddd5bff556d043f"
+        )
         keys = executor._point_keys(
             sweep, [get_precision("fixed8")], search.cache
         )
-        assert keys["fixed8"] == (
-            "c9777743f3fc428ef0f2a756fc3a45be60dcff68728d19b18e7a4cf942c7cb1d"
+        assert search.cache.salt == space_fp
+        assert keys["fixed8"] == search.cache.point_key(
+            init_digest, "fixed8", split_fp, config_fp
         )
 
 
