@@ -159,6 +159,30 @@ assert promoted[0] == promoted[1], promoted
 print(f"search replay: {replay['cache_hits']} hits, 0 misses, same frontier, "
       f"{len(replay['promoted'])} identical promoted digest(s)")
 EOF
+  # search -> registry -> serve: the channel the search just promoted
+  # serves its head (often a per-layer spec such as fixed:2,4,8,8:8) at
+  # the head's own widths, in process and from one replica.
+  local replicas
+  for replicas in 0 1; do
+    python -m repro serve-bench \
+      --registry /tmp/repro-search-registry --channel search-lenet_small \
+      --replicas "$replicas" --skip-baseline --json \
+      | tee "$OUT/search-serve-$replicas.json" >/dev/null
+  done
+  python - /tmp/repro-search-registry "$OUT"/search-serve-{0,1}.json <<'EOF'
+import json, sys
+from repro import registry
+store = registry.ArtifactStore(sys.argv[1])
+head = registry.Channel(store, "search-lenet_small").active_manifest()
+for path in sys.argv[2:]:
+    payload = json.load(open(path))
+    assert payload["lost"] == 0, payload
+    assert payload["client_errors"] == 0, payload
+    assert payload["precision"] == head.precision, (payload["precision"], head)
+    assert payload["registry"]["digest"] == head.digest, payload["registry"]
+print(f"search serve: {head.network}|{head.precision} "
+      f"({head.digest[:12]}) served in process and from a replica, 0 lost")
+EOF
   # A corrupt resume state is a usage error (exit 2, `error:` on
   # stderr) that says to delete the file, not a traceback.
   local state status=0

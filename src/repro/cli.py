@@ -480,10 +480,9 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         backend=backend_name,
     )
     if channel is not None and args.replicas == 0:
-        deployer = registry.Deployer(channel.store, store, seed=args.seed)
-        rollout = deployer.rollout(channel)
+        rollout = registry.Deployer(channel.store, store).rollout(channel)
     servable = store.warm(args.network, args.precision)  # build outside timing
-    spec = core.get_precision(args.precision)
+    spec = core.PrecisionSpec.parse(args.precision)
     make_payload = functools.partial(
         _bench_payload, args, spec, backend_name, servable, artifact, rollout
     )
@@ -694,7 +693,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     # One row per unit: its forward times from `observe`; FLOPs and
     # bytes from the layer models over its layer and trailing quant,
-    # batch by batch.
+    # batch by batch, each weight layer's bytes at its own width.
+    weight_bits = {
+        layer.name: layer_spec.weight_bits
+        for layer, layer_spec in spec.weight_layer_specs(network)
+    }
     layer_rows, shape = [], tuple(images.shape[1:])
     for unit in backends.compile_units(pipeline):
         times = [seconds for index, seconds in timed if index == unit.index]
@@ -715,7 +718,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 row["flops"] += obs.layer_flops(layer, shape, len(batch))
                 row["bytes_moved"] += obs.layer_bytes(
                     layer, shape, len(batch),
-                    weight_bits=spec.weight_bits,
+                    weight_bits=weight_bits.get(layer.name, spec.weight_bits),
                     activation_bits=spec.input_bits,
                 )
             shape = layer.output_shape(shape)

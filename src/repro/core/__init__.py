@@ -53,7 +53,6 @@ from repro.core.mixed_precision import (
     MixedPrecisionNetwork,
     assignment_weight_kb,
     greedy_bit_allocation,
-    make_quantized_network,
 )
 from repro.core.analysis import (
     TensorQuantizationStats,
@@ -95,7 +94,6 @@ __all__ = [
     "dominates",
     "IntegerInference",
     "MixedPrecisionNetwork",
-    "make_quantized_network",
     "greedy_bit_allocation",
     "assignment_weight_kb",
     "TensorQuantizationStats",

@@ -84,9 +84,10 @@ class IntegerInference:
         return FixedPointFormat(self.spec.input_bits, frac)
 
     def _weight_codes(self, param) -> Tuple[np.ndarray, FixedPointFormat]:
-        quantizer = self.qnet.weight_quantizer
+        # each tensor at its own layer's width (per-layer specs differ)
+        quantizer = self.qnet.weight_quantizer_for(param)
         frac = quantizer.resolve_frac_bits(param.data, None)
-        fmt = FixedPointFormat(self.spec.weight_bits, frac)
+        fmt = FixedPointFormat(quantizer.bits, frac)
         return fmt.encode(param.data), fmt
 
     def _bias_codes(self, param) -> Tuple[np.ndarray, int]:

@@ -19,26 +19,25 @@ an independent *bit-width* per weight tensor:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.precision import (
-    LayeredPrecisionSpec,
-    PrecisionKind,
-    PrecisionSpec,
-)
+from repro.core.precision import PrecisionKind, PrecisionSpec
 from repro.core.factory import make_quantizers
 from repro.core.quantized import QuantizedNetwork
-from repro.core.quantizers import Quantizer
-from repro.errors import ConfigError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.nn.metrics import accuracy
 from repro.nn.network import Sequential
-from repro.nn.tensor import Parameter
 
 
 class MixedPrecisionNetwork(QuantizedNetwork):
-    """Quantized inference with per-weight-tensor precision.
+    """Quantized inference with a precision per weight tensor, by name.
+
+    Unlike a :class:`~repro.core.precision.LayeredPrecisionSpec` (one
+    kind, a width per layer, built by :class:`QuantizedNetwork` itself),
+    an assignment may mix representation kinds — what
+    :func:`greedy_bit_allocation` searches over.
 
     Args:
         network: the float network (parameters shared, as in the base).
@@ -46,12 +45,9 @@ class MixedPrecisionNetwork(QuantizedNetwork):
             Every weight tensor of ``network`` must be assigned.
         input_bits: activation/feature-map width (one radix per tensor
             is still chosen dynamically by the range trackers).
-        headline: the spec this wrapper reports as ``self.spec``.
-            Defaults to a synthetic ``mixed<maxbits>`` spec; callers
-            constructing the network from a
-            :class:`~repro.core.precision.LayeredPrecisionSpec` pass
-            that spec so keys/labels round-trip (see
-            :func:`make_quantized_network`).
+
+    ``self.spec`` is a synthetic ``mixed<maxbits>`` fixed-point spec
+    carrying the activation width.
     """
 
     def __init__(
@@ -59,7 +55,6 @@ class MixedPrecisionNetwork(QuantizedNetwork):
         network: Sequential,
         assignment: Dict[str, PrecisionSpec],
         input_bits: int = 16,
-        headline: Optional[PrecisionSpec] = None,
     ):
         weight_names = {p.name for p in network.weight_parameters()}
         missing = weight_names - set(assignment)
@@ -72,49 +67,17 @@ class MixedPrecisionNetwork(QuantizedNetwork):
             raise ConfigurationError(
                 f"assignment names unknown tensors: {sorted(extra)}"
             )
-        # the wrapper-level spec carries the activation width; weight
-        # bits vary per layer, so the headline number is the maximum
-        if headline is None:
-            max_weight_bits = max(spec.weight_bits for spec in assignment.values())
-            headline = PrecisionSpec(
-                kind=PrecisionKind.FIXED,
-                weight_bits=max_weight_bits,
-                input_bits=input_bits,
-                key=f"mixed{max_weight_bits}",
-            )
-        super().__init__(network, headline)
+        max_weight_bits = max(spec.weight_bits for spec in assignment.values())
+        super().__init__(network, PrecisionSpec(
+            kind=PrecisionKind.FIXED,
+            weight_bits=max_weight_bits,
+            input_bits=input_bits,
+            key=f"mixed{max_weight_bits}",
+        ))
         self.assignment = dict(assignment)
-        self._per_param: Dict[int, Quantizer] = {}
         for param in network.weight_parameters():
-            spec = assignment[param.name]
-            quantizer, _ = make_quantizers(spec)
-            self._per_param[id(param)] = quantizer
-
-    def weight_quantizer_for(self, param: Parameter) -> Quantizer:
-        return self._per_param[id(param)]
-
-    @classmethod
-    def from_layered(
-        cls, network: Sequential, spec: "LayeredPrecisionSpec"
-    ) -> "MixedPrecisionNetwork":
-        """Build from a per-layer spec: widths map to weight tensors in
-        network layer order (the order they are declared, the same
-        order :meth:`Sequential.weight_parameters` returns)."""
-        weights = network.weight_parameters()
-        if len(spec.weight_bits_per_layer) != len(weights):
-            raise ConfigError(
-                "weight_bits_per_layer",
-                f"spec {spec.key!r} assigns "
-                f"{len(spec.weight_bits_per_layer)} layer widths but "
-                f"{network.name!r} has {len(weights)} weight tensors",
-            )
-        assignment = {
-            param.name: layer_spec
-            for param, layer_spec in zip(weights, spec.per_layer_specs())
-        }
-        return cls(
-            network, assignment, input_bits=spec.input_bits, headline=spec
-        )
+            self._weight_quantizers[id(param)] = make_quantizers(
+                assignment[param.name])[0]
 
     def describe(self) -> str:
         """One line per layer: tensor name and its assigned precision."""
@@ -129,23 +92,9 @@ def make_quantized_network(
     spec: "PrecisionSpec | str",
     **kwargs,
 ) -> QuantizedNetwork:
-    """Quantized-inference wrapper for any parseable precision.
-
-    The single construction point shared by sweeps, serving and the
-    search: uniform specs build a plain :class:`QuantizedNetwork`,
-    per-layer :class:`LayeredPrecisionSpec` s build a
-    :class:`MixedPrecisionNetwork` whose reported ``spec`` is the
-    layered spec itself (keys round-trip through caches and manifests).
-    ``kwargs`` forward to :class:`QuantizedNetwork` for uniform specs
-    (layered construction accepts none today).
-    """
-    spec = PrecisionSpec.parse(spec)
-    if isinstance(spec, LayeredPrecisionSpec):
-        if kwargs:
-            raise ConfigurationError(
-                f"layered precision does not accept options {sorted(kwargs)}"
-            )
-        return MixedPrecisionNetwork.from_layered(network, spec)
+    """``QuantizedNetwork(network, spec, **kwargs)``, which builds every
+    spec, per-layer ones included; kept only because the benchmark
+    harness (``perfbench``) imports it."""
     return QuantizedNetwork(network, spec, **kwargs)
 
 

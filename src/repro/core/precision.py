@@ -10,9 +10,13 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigError, ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.nn.module import Module
+    from repro.nn.network import Sequential
 
 
 class PrecisionKind(enum.Enum):
@@ -63,6 +67,14 @@ class PrecisionSpec:
 
     def __str__(self) -> str:
         return self.label
+
+    def weight_layer_specs(
+        self, network: "Sequential"
+    ) -> List[Tuple["Module", "PrecisionSpec"]]:
+        """``network``'s weight layers in layer order, each with the
+        uniform spec it runs at (this one, for a uniform spec): the one
+        rule quantized inference, energy and memory read."""
+        return [(layer, self) for layer in network.weight_layers()]
 
     @classmethod
     def parse(cls, text: Union[str, "PrecisionSpec"]) -> "PrecisionSpec":
@@ -155,9 +167,11 @@ class LayeredPrecisionSpec(PrecisionSpec):
     The paper's Section VI future-work direction (and the search's
     per-layer axis): one representation kind and one activation width,
     but each weight tensor carries its own bit count, in network layer
-    order.  ``weight_bits`` (the inherited headline number the uniform
-    code paths read — memory footprints, registry manifests) is the
-    per-layer maximum.
+    order.  :meth:`weight_layer_specs` maps the widths onto a network's
+    weight layers, so ``QuantizedNetwork``, the energy model and memory
+    footprints each run a layer at its own width.  ``weight_bits`` is
+    the per-layer maximum: the width of whatever the map does not cover
+    (the energy model prices layers without weights there).
 
     The canonical key is the parseable per-layer form,
     ``"fixed:2,4,8:8"``, so layered specs round-trip through
@@ -196,6 +210,22 @@ class LayeredPrecisionSpec(PrecisionSpec):
     def per_layer_specs(self) -> List[PrecisionSpec]:
         """Uniform specs in layer order (one per weight tensor)."""
         return [self.layer_spec(bits) for bits in self.weight_bits_per_layer]
+
+    def weight_layer_specs(
+        self, network: "Sequential"
+    ) -> List[Tuple["Module", PrecisionSpec]]:
+        """Each weight layer of ``network`` with its own width's uniform
+        spec; a width count that is not the network's weight-layer count
+        raises :class:`~repro.errors.ConfigError`."""
+        layers = network.weight_layers()
+        if len(layers) != len(self.weight_bits_per_layer):
+            raise ConfigError(
+                "weight_bits_per_layer",
+                f"spec {self.key!r} assigns "
+                f"{len(self.weight_bits_per_layer)} layer widths but "
+                f"{network.name!r} has {len(layers)} weight layers",
+            )
+        return list(zip(layers, self.per_layer_specs()))
 
 
 def layered_spec(

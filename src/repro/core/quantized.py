@@ -30,9 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.core.factory import make_quantizers
 from repro.core.fake_quant import FakeQuantLayer
 from repro.core.fixed_point import FixedPointQuantizer
-from repro.core.precision import PrecisionSpec
+from repro.core.precision import LayeredPrecisionSpec, PrecisionSpec
 from repro.core.quantizers import IdentityQuantizer, Quantizer
-from repro.errors import ConfigurationError
+from repro.errors import ConfigError, ConfigurationError
 from repro.nn.dense import Flatten
 from repro.nn.evaluation import EvalResult
 from repro.nn.metrics import accuracy
@@ -59,20 +59,28 @@ def _needs_activation_quant(layer: Module) -> bool:
 class QuantizedNetwork:
     """A float network executed under a precision specification.
 
+    The one constructor for every precision spec: each weight tensor
+    gets the quantizer of the uniform spec
+    :meth:`PrecisionSpec.weight_layer_specs` assigns its layer, so a
+    per-layer spec (``"fixed:2,4,8,8:8"``) runs every layer at its own
+    width and a uniform spec runs all of them at one.
+
     Args:
         network: the underlying :class:`Sequential`; its parameters are
             shared (the wrapper never copies weights — the shadow
             full-precision values live in the network itself).
         spec: the precision point to emulate — a :class:`PrecisionSpec`
             or any string :meth:`PrecisionSpec.parse` accepts
-            (``"fixed8"``, ``"fixed:4:8"``, ...).
+            (``"fixed8"``, ``"fixed:4:8"``, ``"fixed:2,4,8,8:8"``, ...).
         quantize_bias: quantize bias vectors at the *input* precision
             (the accumulator width); the paper keeps biases at the wider
             input precision rather than the weight precision.
         weight_quantizer / activation_factory: override the quantizers
             the spec would select (used by the radix-placement ablation
             benchmarks); ``None`` uses
-            :func:`repro.core.make_quantizers`.
+            :func:`repro.core.make_quantizers`.  A weight quantizer
+            override applies to every tensor, so a per-layer spec
+            rejects it with :class:`~repro.errors.ConfigError`.
         backend: the :mod:`repro.backends` compute backend used by
             :meth:`infer` / :meth:`predict` / :meth:`evaluate` when no
             per-call backend is given — a name, a ``Backend`` instance,
@@ -89,12 +97,19 @@ class QuantizedNetwork:
         backend: Union["Backend", str, None] = None,
     ):
         spec = PrecisionSpec.parse(spec)
+        if weight_quantizer is not None and isinstance(spec, LayeredPrecisionSpec):
+            raise ConfigError(
+                "weight_quantizer", f"spec {spec.key!r} sets a width per layer"
+            )
         self.network = network
         self.spec = spec
         self.backend = backend
-        default_weight, default_factory = make_quantizers(spec)
-        self.weight_quantizer = weight_quantizer or default_weight
-        activation_factory = activation_factory or default_factory
+        self._weight_quantizers: Dict[int, Quantizer] = {
+            id(param): weight_quantizer or make_quantizers(layer_spec)[0]
+            for layer, layer_spec in spec.weight_layer_specs(network)
+            for param in layer.weight_parameters()
+        }
+        activation_factory = activation_factory or make_quantizers(spec)[1]
         self.bias_quantizer: Quantizer = (
             IdentityQuantizer(32)
             if spec.is_float or not quantize_bias
@@ -122,13 +137,8 @@ class QuantizedNetwork:
     # Weight swapping
     # ------------------------------------------------------------------
     def weight_quantizer_for(self, param: Parameter) -> Quantizer:
-        """Quantizer applied to one weight tensor.
-
-        The base class applies the spec's quantizer uniformly;
-        :class:`~repro.core.mixed_precision.MixedPrecisionNetwork`
-        overrides this with a per-layer assignment.
-        """
-        return self.weight_quantizer
+        """Quantizer applied to one weight tensor (its layer's width)."""
+        return self._weight_quantizers[id(param)]
 
     def quantized_parameter_data(self) -> Dict[int, np.ndarray]:
         """Precomputed quantized copies of every parameter, keyed by id.

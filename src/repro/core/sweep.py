@@ -249,7 +249,9 @@ class PrecisionSweep:
         :meth:`PrecisionSpec.parse` accepts.  The whole point runs
         inside a ``sweep.precision`` span tagged with the spec's key,
         and the outcome lands in the shared metrics registry as
-        ``sweep.accuracy.<key>`` / ``sweep.converged.<key>`` gauges.
+        ``sweep.accuracy.<key>`` / ``sweep.converged.<key>`` gauges
+        (not for the float point of :meth:`run`, which takes the
+        baseline without calling this).
 
         ``rng`` overrides the QAT shuffling generator; by default each
         spec gets its own generator derived from ``config.seed`` and
@@ -277,11 +279,7 @@ class PrecisionSweep:
         cfg = self.config
         network = self.builder()
         transfer_weights(self._float_network, network)
-        # layered specs build a MixedPrecisionNetwork; QAT and the
-        # quantized evaluation flow through weight_quantizer_for either way
-        from repro.core.mixed_precision import make_quantized_network
-
-        qnet = make_quantized_network(network, spec)
+        qnet = QuantizedNetwork(network, spec)
         qnet.calibrate(self.split.train.images[: cfg.calibration_samples])
 
         history: Dict[str, List[float]] = {}
@@ -334,10 +332,10 @@ class PrecisionSweep:
         Args:
             precisions: specs (or parseable strings) to run, in order.
             workers: number of worker *processes*.  ``1`` (default)
-                runs in-process exactly as before; ``N > 1`` dispatches
-                points through :mod:`repro.parallel` and is guaranteed
-                to return bitwise-identical results for the same
-                ``config.seed``.
+                runs every point in this process; ``N > 1`` dispatches
+                them to a pool.  Every count takes the one path,
+                :func:`repro.parallel.run_sweep`, and returns
+                bitwise-identical results for the same ``config.seed``.
             cache: on-disk result cache — ``None``/``False`` disables
                 it, ``True`` uses the default directory
                 (``~/.cache/repro-sweeps`` or ``$REPRO_SWEEP_CACHE``),
@@ -345,14 +343,8 @@ class PrecisionSweep:
                 :class:`repro.parallel.SweepCache` is used as-is.
             refresh: ignore cached results (but still store fresh ones).
         """
-        specs = [
-            PrecisionSpec.parse(spec)
-            for spec in (precisions if precisions is not None else PAPER_PRECISIONS)
-        ]
-        if workers <= 1 and not cache:
-            return [self.run_precision(spec) for spec in specs]
         from repro.parallel.executor import run_sweep
 
         return run_sweep(
-            self, specs, workers=workers, cache=cache, refresh=refresh
+            self, precisions, workers=workers, cache=cache, refresh=refresh
         )

@@ -56,9 +56,9 @@ class SweepRunner:
 
     Args:
         config: experiment budgets (quick proxy vs. paper-fidelity).
-        workers: worker processes per network sweep (``1`` = the
-            legacy sequential path; results are bitwise identical
-            either way).
+        workers: worker processes per network sweep (``1`` runs the
+            points in this process; results are bitwise identical at
+            any count).
         cache: on-disk sweep cache — ``None`` disables, ``True`` uses
             the default directory, a string names one, or pass a
             :class:`repro.parallel.SweepCache`.
@@ -166,12 +166,9 @@ class SweepRunner:
             with get_tracer().span(
                 "runner.accuracy", network=trained, spec=spec.key
             ):
-                if self.cache or self.refresh:
-                    self._results[key] = sweep.run(
-                        [spec], cache=self.cache, refresh=self.refresh
-                    )[0]
-                else:
-                    self._results[key] = sweep.run_precision(spec)
+                self._results[key] = sweep.run(
+                    [spec], cache=self.cache, refresh=self.refresh
+                )[0]
         return self._results[key]
 
     def energy_report(self, paper_network: str, spec: PrecisionSpec) -> EnergyReport:
@@ -223,8 +220,7 @@ class SweepRunner:
         energy_baseline_network: Optional[str] = None,
     ) -> List[EvaluatedPoint]:
         specs = list(precisions) if precisions is not None else list(PAPER_PRECISIONS)
-        if self.workers > 1 or self.cache:
-            self.prefetch(paper_network, specs)
+        self.prefetch(paper_network, specs)
         return [
             self.evaluate_point(paper_network, spec, energy_baseline_network)
             for spec in specs

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.core.precision import LayeredPrecisionSpec, PrecisionSpec
-from repro.errors import ConfigError
 from repro.hw.accelerator import Accelerator, AcceleratorConfig
 from repro.hw.scheduler import Schedule, TileScheduler
 from repro.hw.tech import TECH_65NM, TechnologyLibrary
@@ -120,22 +119,10 @@ class EnergyModel:
         generation touching many layered specs over one network
         schedules each distinct width once.
         """
-        weight_layers = [
-            layer for layer in network.layers
-            if getattr(layer, "weight_parameters", None)
-            and layer.weight_parameters()
-        ]
-        if len(spec.weight_bits_per_layer) != len(weight_layers):
-            raise ConfigError(
-                "weight_bits_per_layer",
-                f"spec {spec.key!r} assigns "
-                f"{len(spec.weight_bits_per_layer)} layer widths but "
-                f"{network.name!r} has {len(weight_layers)} weight layers",
-            )
         anchor = spec.layer_spec(spec.weight_bits)
         assigned = {
-            layer.name: spec.layer_spec(bits)
-            for layer, bits in zip(weight_layers, spec.weight_bits_per_layer)
+            layer.name: layer_spec
+            for layer, layer_spec in spec.weight_layer_specs(network)
         }
         reports = {
             uniform.key: self.evaluate_cached(network, input_shape, uniform)

@@ -42,10 +42,19 @@ def network_memory_footprint(
 ) -> MemoryFootprint:
     """Compute parameter / activation storage at a precision point.
 
-    Parameters are stored at ``spec.weight_bits``; the input image and
-    feature maps at ``spec.input_bits``.
+    A weight layer's parameters are stored at its width
+    (:meth:`~repro.core.precision.PrecisionSpec.weight_layer_specs`),
+    any others at ``spec.weight_bits``; the input image and feature
+    maps at ``spec.input_bits``.
     """
-    param_bits = network.parameter_count() * spec.weight_bits
+    widths = {
+        id(layer): layer_spec.weight_bits
+        for layer, layer_spec in spec.weight_layer_specs(network)
+    }
+    param_bits = sum(
+        layer.parameter_count() * widths.get(id(layer), spec.weight_bits)
+        for layer in network.layers
+    )
     input_values = 1
     for dim in input_shape:
         input_values *= int(dim)

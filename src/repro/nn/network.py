@@ -91,6 +91,11 @@ class Sequential(Module):
             params.extend(layer.weight_parameters())
         return params
 
+    def weight_layers(self) -> List[Module]:
+        """Layers that own weight tensors, in layer order (the layers a
+        per-layer precision spec assigns its widths to)."""
+        return [layer for layer in self.layers if layer.weight_parameters()]
+
     def zero_grad(self) -> None:
         for layer in self.layers:
             layer.zero_grad()

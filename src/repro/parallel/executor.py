@@ -254,7 +254,7 @@ def run_sweep(
         spec = specs[index]
         # Worker results arrive with a pickled copy of the spec; swap in
         # the parent's canonical instance so identity semantics match the
-        # sequential path (spec is get_precision(key) for registry keys).
+        # in-process points (spec is get_precision(key) for registry keys).
         results[index] = dataclasses.replace(outcome.result, spec=spec)
         metrics.counter("parallel.points").inc()
         metrics.histogram("parallel.point_s").observe(outcome.elapsed_s)

@@ -28,11 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.precision import PrecisionSpec
-from repro.core.quantized import QuantizedNetwork
 from repro.errors import RegistryError
-from repro.hw.memory_footprint import network_memory_footprint
-from repro.nn.serialization import load_network_state, state_digest
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.registry.channels import Channel
@@ -45,9 +41,8 @@ from repro.serve.model_store import (
     Servable,
 )
 from repro.serve.request import ModelKey
-from repro.zoo.registry import build_network, network_info
 
-__all__ = ["Deployer", "RolloutReport"]
+__all__ = ["Deployer", "RolloutReport", "build_artifact"]
 
 logger = logging.getLogger(__name__)
 
@@ -65,17 +60,33 @@ class RolloutReport:
     rolled_back: bool = False       # channel pointer was restored on failure
 
 
+def build_artifact(
+    model_store: ModelStore,
+    store: ArtifactStore,
+    manifest: ArtifactManifest,
+    version: int,
+) -> Servable:
+    """One artifact as a ``model_store`` servable, not yet installed:
+    weights verified through the ``registry.load`` fault site, run at
+    the manifest's precision.  Fleet replicas build their copy here."""
+    return model_store.build_servable(
+        ModelKey(network=manifest.network, precision=manifest.precision),
+        state=store.load_state(manifest.digest),
+        artifact=(manifest.digest, version),
+    )
+
+
 class Deployer:
     """Wires a :class:`Channel` into a live :class:`ModelStore`.
 
     Args:
         store: artifact source of truth.
-        model_store: the serving engine's servable cache to swap into.
+        model_store: the serving engine's servable cache to swap into;
+            its :meth:`~repro.serve.ModelStore.build_servable` builds
+            each rolled-out artifact.
         retry_policy: backoff for builds failing with a retryable error
             (injected ``registry.load`` faults, transient I/O); defaults
             to the model store's own policy.
-        seed: architecture-build seed (weights are overwritten by the
-            artifact's, so this only affects layer construction).
     """
 
     def __init__(
@@ -84,47 +95,10 @@ class Deployer:
         model_store: ModelStore,
         *,
         retry_policy: Optional[RetryPolicy] = None,
-        seed: int = 0,
     ):
         self.store = store
         self.model_store = model_store
         self.retry_policy = retry_policy or model_store.retry_policy
-        self.seed = seed
-
-    # ------------------------------------------------------------------
-    def build_servable(
-        self, manifest: ArtifactManifest, version: int
-    ) -> Servable:
-        """Load, calibrate and freeze one artifact off the serving path.
-
-        Public because fleet replicas build their own copy of a rolled-
-        out artifact in-process (each replica owns a private
-        ``ModelStore``), then install it locally — the per-replica half
-        of a canary deploy.
-        """
-        info = network_info(manifest.network)
-        spec = PrecisionSpec.parse(manifest.precision)
-        network = build_network(manifest.network, seed=self.seed)
-        state = self.store.load_state(manifest.digest)
-        load_network_state(network, state)
-        digest = state_digest(network)
-        qnet = QuantizedNetwork(network, spec)
-        if not spec.is_float:
-            qnet.calibrate(self.model_store.calibration_for(info.dataset))
-        energy = self.model_store.energy_model.evaluate_cached(
-            network, info.input_shape, spec
-        )
-        footprint = network_memory_footprint(network, info.input_shape, spec)
-        return Servable(
-            key=ModelKey(network=manifest.network, precision=manifest.precision),
-            frozen=qnet.freeze(backend=self.model_store.backend),
-            input_shape=info.input_shape,
-            memory_kb=footprint.total_kb,
-            energy_uj_per_image=energy.energy_uj,
-            weights_digest=digest,
-            registry_digest=manifest.digest,
-            registry_version=version,
-        )
 
     def rollout(self, channel: Channel) -> RolloutReport:
         """Deploy the channel's active artifact into the model store.
@@ -151,8 +125,8 @@ class Deployer:
             build_start = time.perf_counter()
             try:
                 servable = retry_call(
-                    functools.partial(self.build_servable, manifest,
-                                      entry.version),
+                    functools.partial(build_artifact, self.model_store,
+                                      self.store, manifest, entry.version),
                     policy=self.retry_policy,
                     retry_on=RETRYABLE_BUILD_ERRORS,
                     on_retry=self._note_build_retry,

@@ -221,10 +221,7 @@ class PrecisionSearch:
         self._sweeps: Dict[str, PrecisionSweep] = {}
         self._networks: Dict[str, object] = {}
         # the width-1.0 network: the anchors' pricing network too
-        self.n_layers = len(
-            [l for l in self._network(self.space.task).layers
-             if getattr(l, "weight_parameters", None) and l.weight_parameters()]
-        )
+        self.n_layers = len(self._network(self.space.task).weight_layers())
 
     # -- plumbing ------------------------------------------------------
     def _sweep(self, network: str) -> PrecisionSweep:

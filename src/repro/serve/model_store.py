@@ -28,14 +28,13 @@ from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.core.mixed_precision import make_quantized_network
 from repro.core.precision import PrecisionSpec
-from repro.core.quantized import FrozenQuantizedNetwork
+from repro.core.quantized import FrozenQuantizedNetwork, QuantizedNetwork
 from repro.data.registry import load_dataset
 from repro.errors import FaultInjectedError
 from repro.hw.energy import EnergyModel
 from repro.hw.memory_footprint import network_memory_footprint
-from repro.nn.serialization import load_network_weights, state_digest
+from repro.nn.serialization import load_network_state, load_network_weights, state_digest
 from repro.obs.metrics import get_metrics
 from repro.resilience.faults import get_injector
 from repro.resilience.retry import RetryPolicy, retry_call
@@ -125,13 +124,7 @@ class ModelStore:
 
     # ------------------------------------------------------------------
     def calibration_for(self, dataset: str) -> np.ndarray:
-        """Calibration images for ``dataset`` (loaded once, then cached).
-
-        Public because the registry's :class:`~repro.registry.Deployer`
-        calibrates its background-built servables with the same images
-        the store would use, so a deployed artifact and a store-built
-        fallback see identical activation ranges.
-        """
+        """Calibration images for ``dataset`` (loaded once, then cached)."""
         if dataset not in self._calibration:
             split = load_dataset(
                 dataset,
@@ -142,19 +135,33 @@ class ModelStore:
             self._calibration[dataset] = split.train.images[: self.calibration_images]
         return self._calibration[dataset]
 
-    def _build_servable(self, key: ModelKey) -> Servable:
-        get_injector().fire("store.build")
+    def build_servable(
+        self,
+        key: ModelKey,
+        state: Optional[Dict[str, np.ndarray]] = None,
+        artifact: Optional[Tuple[str, int]] = None,
+    ) -> Servable:
+        """Load, calibrate and freeze one servable, uncached.
+
+        Its weights are ``state`` when given (a registry artifact's, with
+        ``artifact`` its ``(digest, version)``), else the ``weight_paths``
+        checkpoint, else a fresh initialization.  The registry builds
+        rolled-out artifacts here, then :meth:`install` s them.
+        """
         info = network_info(key.network)
         spec = PrecisionSpec.parse(key.precision)
         network = build_network(key.network, seed=self.seed)
-        if key.network in self.weight_paths:
+        if state is not None:
+            load_network_state(network, state)
+        elif key.network in self.weight_paths:
             load_network_weights(network, self.weight_paths[key.network])
         digest = state_digest(network)
-        qnet = make_quantized_network(network, spec)
+        qnet = QuantizedNetwork(network, spec)
         if not spec.is_float:
             qnet.calibrate(self.calibration_for(info.dataset))
         energy = self.energy_model.evaluate_cached(network, info.input_shape, spec)
         footprint = network_memory_footprint(network, info.input_shape, spec)
+        registry_digest, registry_version = artifact or (None, None)
         return Servable(
             key=key,
             frozen=qnet.freeze(backend=self.backend),
@@ -162,7 +169,13 @@ class ModelStore:
             memory_kb=footprint.total_kb,
             energy_uj_per_image=energy.energy_uj,
             weights_digest=digest,
+            registry_digest=registry_digest,
+            registry_version=registry_version,
         )
+
+    def _build_on_miss(self, key: ModelKey) -> Servable:
+        get_injector().fire("store.build")
+        return self.build_servable(key)
 
     def _evict_over_budget(self) -> None:
         while len(self._entries) > 1 and self.total_memory_kb > self.memory_budget_kb:
@@ -186,7 +199,7 @@ class ModelStore:
                 return self._entries[key]
             self.misses += 1
             servable = retry_call(
-                functools.partial(self._build_servable, key),
+                functools.partial(self._build_on_miss, key),
                 policy=self.retry_policy,
                 retry_on=RETRYABLE_BUILD_ERRORS,
                 on_retry=self._note_build_retry,

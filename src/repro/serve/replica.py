@@ -127,14 +127,12 @@ def replica_main(config: ReplicaConfig, conn) -> None:
                         sabotage: bool = False) -> Dict[str, object]:
         """Install one registry artifact into the local store."""
         nonlocal sabotage_armed
-        from repro.registry.deployer import Deployer
+        from repro.registry.deployer import build_artifact
         from repro.registry.store import ArtifactStore
 
         art_store = ArtifactStore(root)
-        deployer = Deployer(art_store, store, seed=config.seed)
         manifest = art_store.get(digest)
-        servable = deployer.build_servable(manifest, version)
-        store.install(servable)
+        store.install(build_artifact(store, art_store, manifest, version))
         if sabotage and not sabotage_armed:
             # A deliberately broken rollout for canary chaos tests: the
             # forward-path fault site starts raising on this replica.

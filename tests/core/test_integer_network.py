@@ -121,3 +121,25 @@ def test_lenet_small_integer_deployment(digits):
         "integer deployment must match the emulation"
     )
     assert accuracy > 0.5
+
+
+def test_per_layer_spec_integer_logits_are_bit_equal(digits):
+    """Each tensor is encoded at its own layer's width.  A fresh network
+    has zero biases, so bias rounding cannot show here."""
+    def planted():
+        # conv1's largest weight, 0.9, saturates at 2 bits (top code
+        # 0.5) but not on a wider grid, so a wrong encoding width shows
+        net = build_network("lenet_small", seed=0)
+        conv1 = net.weight_parameters()[0].data
+        conv1 *= 0.9 / np.abs(conv1).max()
+        conv1.flat[np.abs(conv1).argmax()] = 0.9
+        return net
+
+    qnet = core.QuantizedNetwork(planted(), "fixed:2,4,8,8:8")
+    qnet.calibrate(digits.train.images[:64])
+    x = digits.test.images[:64]
+    emulated = qnet.predict(x)
+    np.testing.assert_array_equal(IntegerInference(qnet).predict(x), emulated)
+    # the narrow layers really run narrow: not fixed8's logits
+    fixed8 = calibrated_qnet(planted(), digits.train.images[:64])
+    assert not np.array_equal(emulated, fixed8.predict(x))

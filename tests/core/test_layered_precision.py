@@ -1,12 +1,9 @@
-"""Per-layer precision specs and the mixed-precision dispatch."""
+"""Per-layer precision specs: one constructor runs each layer at its width."""
 
 import numpy as np
 import pytest
 
-from repro.core.mixed_precision import (
-    MixedPrecisionNetwork,
-    make_quantized_network,
-)
+from repro.core.fixed_point import FixedPointQuantizer
 from repro.core.precision import (
     LayeredPrecisionSpec,
     PrecisionKind,
@@ -16,6 +13,7 @@ from repro.core.precision import (
 from repro.core.quantized import QuantizedNetwork
 from repro.errors import ConfigError, ConfigurationError
 from repro.hw.energy import EnergyModel
+from repro.hw.memory_footprint import network_memory_footprint
 from repro.zoo import build_network, network_info
 
 
@@ -53,29 +51,63 @@ def test_per_layer_specs_are_uniform_points():
     )
 
 
-def test_make_quantized_network_dispatches_on_spec():
+def test_quantized_network_runs_each_layer_at_its_width():
+    """Every tensor is quantized exactly as its layer's uniform spec
+    would quantize it, not at the spec's widest width."""
     network = build_network("lenet_small", seed=0)
-    n_weight = len(network.weight_parameters())
-    layered = layered_spec(PrecisionKind.FIXED, [4] * (n_weight - 1) + [8], 8)
-    mixed = make_quantized_network(network, layered)
-    assert isinstance(mixed, MixedPrecisionNetwork)
-    uniform = make_quantized_network(build_network("lenet_small"), "fixed8")
-    assert isinstance(uniform, QuantizedNetwork)
-    assert not isinstance(uniform, MixedPrecisionNetwork)
+    spec = PrecisionSpec.parse("fixed:2,4,8,8:8")
+    qnet = QuantizedNetwork(network, spec)
+    originals = {p.name: p.data.copy() for p in network.weight_parameters()}
+    quantized = qnet.quantized_state()
+    for param, layer_spec in zip(
+        network.weight_parameters(), spec.per_layer_specs()
+    ):
+        uniform = QuantizedNetwork(build_network("lenet_small", seed=0),
+                                   layer_spec)
+        np.testing.assert_array_equal(
+            quantized[param.name], uniform.quantized_state()[param.name]
+        )
+        np.testing.assert_array_equal(param.data, originals[param.name])
+    # conv1 at 2 bits really is coarser than fixed8 would make it
+    conv1 = network.weight_parameters()[0]
+    assert len(np.unique(quantized[conv1.name])) <= 4
+    assert not np.array_equal(
+        quantized[conv1.name],
+        QuantizedNetwork(network, "fixed8").quantized_state()[conv1.name],
+    )
 
 
-def test_from_layered_rejects_wrong_layer_count():
+@pytest.mark.parametrize("build", [
+    lambda net, spec: QuantizedNetwork(net, spec),
+    lambda net, spec: EnergyModel().evaluate(
+        net, network_info("lenet_small").input_shape, spec),
+    lambda net, spec: network_memory_footprint(
+        net, network_info("lenet_small").input_shape, spec),
+], ids=["quantized_network", "energy", "memory_footprint"])
+def test_width_count_mismatch_raises_one_config_error(build):
     network = build_network("lenet_small", seed=0)
     bad = layered_spec(PrecisionKind.FIXED, [4, 8], 8)  # too few layers
-    with pytest.raises(ConfigError, match="weight_bits_per_layer"):
-        MixedPrecisionNetwork.from_layered(network, bad)
+    with pytest.raises(ConfigError, match="weight_bits_per_layer") as info:
+        build(network, bad)
+    assert info.value.field == "weight_bits_per_layer"
+    assert "has 4 weight layers" in str(info.value)
+
+
+def test_layered_spec_rejects_a_weight_quantizer_override():
+    network = build_network("lenet_small", seed=0)
+    with pytest.raises(ConfigError, match="weight_quantizer"):
+        QuantizedNetwork(network, "fixed:2,4,8,8:8",
+                         weight_quantizer=FixedPointQuantizer(8))
+    # activations share one width, so their factory may still be swapped
+    QuantizedNetwork(network, "fixed:2,4,8,8:8",
+                     activation_factory=lambda: FixedPointQuantizer(8))
 
 
 def test_layered_inference_matches_all_equal_uniform():
     network = build_network("lenet_small", seed=0)
     n_weight = len(network.weight_parameters())
     layered = layered_spec(PrecisionKind.FIXED, [8] * n_weight, 8)
-    mixed = make_quantized_network(network, layered)
+    mixed = QuantizedNetwork(network, layered)
     uniform = QuantizedNetwork(
         build_network("lenet_small", seed=0), PrecisionSpec.parse("fixed8")
     )

@@ -69,7 +69,7 @@ def test_context_manager_restores_on_exception(qnet):
 def test_weights_are_quantized_inside_context(qnet):
     with qnet.quantized_weights():
         for param in qnet.network.weight_parameters():
-            requantized = qnet.weight_quantizer.quantize(param.data)
+            requantized = qnet.weight_quantizer_for(param).quantize(param.data)
             assert np.allclose(param.data, requantized, atol=1e-6)
 
 
@@ -130,7 +130,7 @@ def test_quantized_state_snapshot(qnet):
     # snapshot taken under quantization; shadow restored afterwards
     for param in qnet.network.weight_parameters():
         assert not np.array_equal(state[param.name], param.data) or np.allclose(
-            qnet.weight_quantizer.quantize(param.data), param.data
+            qnet.weight_quantizer_for(param).quantize(param.data), param.data
         )
 
 

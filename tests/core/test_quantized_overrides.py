@@ -13,7 +13,10 @@ def test_weight_quantizer_override():
     qnet = core.QuantizedNetwork(
         net, core.get_precision("fixed8"), weight_quantizer=fixed_radix
     )
-    assert qnet.weight_quantizer is fixed_radix
+    assert all(
+        qnet.weight_quantizer_for(param) is fixed_radix
+        for param in net.weight_parameters()
+    )
     with qnet.quantized_weights():
         for param in net.weight_parameters():
             # every value sits on the fixed Q1.6 grid
@@ -45,7 +48,10 @@ def test_activation_factory_override():
 def test_default_used_when_not_overridden():
     net = make_micro_net()
     qnet = core.QuantizedNetwork(net, core.get_precision("pow2"))
-    assert isinstance(qnet.weight_quantizer, core.PowerOfTwoQuantizer)
+    assert all(
+        isinstance(qnet.weight_quantizer_for(param), core.PowerOfTwoQuantizer)
+        for param in net.weight_parameters()
+    )
 
 
 def test_per_channel_override_integrates():

@@ -65,3 +65,27 @@ def test_peak_feature_map_at_least_input():
     fp = network_memory_footprint(net, info.input_shape, core.get_precision("float32"))
     assert fp.peak_feature_map_kb >= fp.input_kb
     assert fp.total_kb > fp.parameter_kb
+
+
+def test_per_layer_spec_stores_each_layer_at_its_width():
+    """A weight layer's parameters (weights and biases) take its own
+    width: lenet_small at fixed:2,4,8,8:8 is 13.62 KB, not fixed8's
+    14.62 KB."""
+    info = network_info("lenet_small")
+    net = build_network("lenet_small")
+    layered = network_memory_footprint(
+        net, info.input_shape, core.PrecisionSpec.parse("fixed:2,4,8,8:8")
+    )
+    fixed8 = network_memory_footprint(
+        net, info.input_shape, core.get_precision("fixed8")
+    )
+    expected_bits = sum(
+        layer.parameter_count() * bits
+        for layer, bits in zip(net.weight_layers(), (2, 4, 8, 8))
+    )
+    assert layered.parameter_kb == expected_bits / 8192.0
+    assert round(layered.parameter_kb, 2) == 13.62
+    assert round(fixed8.parameter_kb, 2) == 14.62
+    # activations are unaffected: one input width for both
+    assert layered.input_kb == fixed8.input_kb
+    assert layered.peak_feature_map_kb == fixed8.peak_feature_map_kb

@@ -53,6 +53,22 @@ def test_run_default_matches_legacy_loop(split, sequential_results):
     assert_identical(make_sweep(split).run(SPECS), sequential_results)
 
 
+def test_an_uncached_one_worker_run_takes_run_sweep(split, monkeypatch):
+    """One sweep path at any worker count: no loop of run()'s own."""
+    from repro.parallel import executor
+
+    calls = []
+    real = executor.run_sweep
+
+    def spy(sweep, precisions, **kwargs):
+        calls.append(kwargs)
+        return real(sweep, precisions, **kwargs)
+
+    monkeypatch.setattr(executor, "run_sweep", spy)
+    make_sweep(split).run(["float32"])
+    assert calls == [dict(workers=1, cache=None, refresh=False)]
+
+
 def test_workers_one_with_cache_matches_legacy(
     split, sequential_results, tmp_path
 ):

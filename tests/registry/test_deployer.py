@@ -8,7 +8,7 @@ import pytest
 from repro import registry, serve
 from repro.data import load_dataset
 from repro.errors import RegistryError
-from repro.nn.serialization import network_state
+from repro.nn.serialization import network_state, save_network_weights
 from repro.obs.metrics import get_metrics
 from repro.resilience import FaultInjector, use_injector
 from repro.zoo import build_network
@@ -79,6 +79,41 @@ def test_empty_channel_cannot_roll_out(store, calibration):
     deployer = registry.Deployer(store, make_model_store(calibration))
     with pytest.raises(RegistryError, match="nothing to roll out"):
         deployer.rollout(chan)
+
+
+def test_per_layer_rollout_serves_what_the_store_builds(store, calibration,
+                                                       tmp_path):
+    """A per-layer artifact serves at its own widths: the rollout's
+    logits are the ones a store miss builds from the same weights, and
+    not uniform fixed8's."""
+    key = "fixed:2,4,8,8:8"
+    network = build_network("lenet_small", seed=1)
+    weights = str(tmp_path / "w.npz")
+    save_network_weights(network, weights)
+    manifest = store.publish(
+        network_state(network), network="lenet_small", precision=key,
+        dataset="digits", accuracy=0.9, energy_uj_per_image=1.0,
+    )
+    chan = registry.Channel(store, "prod")
+    chan.promote(manifest.digest)
+    model_store = make_model_store(calibration)
+    registry.Deployer(store, model_store).rollout(chan)
+    rolled_out = model_store.get("lenet_small", key)
+    assert rolled_out.registry_digest == manifest.digest
+
+    reference = serve.ModelStore(
+        calibration_data=calibration, weight_paths={"lenet_small": weights}
+    )
+    batch = calibration["digits"][:16]
+    logits = rolled_out.forward(batch)
+    np.testing.assert_array_equal(
+        logits, reference.get("lenet_small", key).forward(batch)
+    )
+    assert rolled_out.weights_digest == reference.get(
+        "lenet_small", key).weights_digest
+    assert not np.array_equal(
+        logits, reference.get("lenet_small", "fixed8").forward(batch)
+    )
 
 
 def test_rollback_restores_bitwise_identical_outputs(store, calibration):

@@ -6,9 +6,11 @@ import json
 
 import pytest
 
-from repro import cli, serve
+from repro import cli, registry, serve
 from repro.cli import main
+from repro.nn.serialization import network_state
 from repro.resilience import FaultInjector, use_injector
+from repro.zoo import build_network
 
 
 def test_serve_bench_reports_metrics(capsys):
@@ -117,6 +119,34 @@ def test_serve_bench_fleet_mode(capsys):
     assert len(payload["fleet"]["replicas"]) == 2
     # the replica-side view accounts for every request too
     assert payload["replica_compute"]["completed"] == 32
+
+
+@pytest.mark.parametrize("replicas", ["0", "1"], ids=["inproc", "fleet"])
+def test_serve_bench_serves_a_per_layer_channel_head(tmp_path, capsys,
+                                                     replicas):
+    """A search-style per-layer head (not one of the named points)
+    serves from its channel, in process and from a replica."""
+    root = str(tmp_path / "reg")
+    manifest = registry.ArtifactStore(root).publish(
+        network_state(build_network("lenet_small", seed=0)),
+        network="lenet_small", precision="fixed:2,4,8,8:8",
+        dataset="digits", accuracy=0.9, energy_uj_per_image=1.0,
+    )
+    registry.Channel(registry.ArtifactStore(root), "search").promote(
+        manifest.digest)
+    code = main([
+        "serve-bench", "--registry", root, "--channel", "search",
+        "--requests", "16", "--concurrency", "4", "--calibration", "8",
+        "--replicas", replicas, "--skip-baseline", "--json",
+    ])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["precision"] == "fixed:2,4,8,8:8"
+    assert payload["registry"]["digest"] == manifest.digest
+    assert payload["lost"] == 0 and payload["client_errors"] == 0
+    served = payload["report"]["served_artifacts"][
+        "lenet_small@fixed:2,4,8,8:8"]
+    assert served["digest"] == manifest.digest
 
 
 def test_serve_bench_fleet_validates_canary_flags(capsys):

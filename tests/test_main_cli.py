@@ -122,6 +122,27 @@ def test_profile_json_output(capsys):
     assert "histograms" in payload["metrics"]
 
 
+def test_profile_runs_a_per_layer_spec_at_its_widths(capsys):
+    """conv1 at 2 bits: its weight RMS and bytes are its own, not the
+    widest layer's (fixed8's)."""
+    rows = {}
+    for key in ("fixed:2,4,8,8:8", "fixed8"):
+        assert main([
+            "profile", "--network", "lenet_small", "--precision", key,
+            "--limit", "8", "--calibration", "8", "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["precision"] == key
+        rows[key] = {row["name"]: row for row in payload["layers"]}
+    layered, fixed8 = rows["fixed:2,4,8,8:8"], rows["fixed8"]
+    assert layered["conv1"]["quant_rms"] > 10 * fixed8["conv1"]["quant_rms"]
+    assert layered["conv1"]["bytes_moved"] < fixed8["conv1"]["bytes_moved"]
+    # the 8-bit layers match fixed8 exactly
+    for name in ("ip1", "ip2"):
+        assert layered[name]["quant_rms"] == fixed8[name]["quant_rms"]
+        assert layered[name]["bytes_moved"] == fixed8[name]["bytes_moved"]
+
+
 def test_profile_times_the_backend_it_names(capsys, backend_flag):
     fallbacks = obs.get_metrics().counter("kernels.fused.fallback_units")
     before = fallbacks.value
