@@ -84,6 +84,9 @@ smoke_kernels() {
   python -m repro profile --backend fused --precision fixed8 --limit 64
   python -m repro profile --backend fused --network convnet \
     --precision fixed4 --limit 32
+  # padded channel-major convs, a ceil-mode max pool and avg pools
+  python -m repro profile --backend fused --network alex_small \
+    --precision binary --limit 64
   python -m pytest -q tests/kernels/test_parity.py
   # The rectifier, quantizer, pooling and layout oracles again, on
   # numpy's baseline SIMD loops: which zero fmax returns for a

@@ -64,8 +64,8 @@ The package is organized as one subpackage per subsystem:
 
 ``repro.kernels``
     Fused quantized-inference kernels: single-pass quantize /
-    im2col-conv / matmul / pool / ReLU routines writing into
-    preallocated per-layer workspaces reused across batches, bitwise-
+    im2col-conv / matmul / pool / ReLU routines that update in place
+    what they own and keep no scratch memory between batches, bitwise-
     equal to the layer-by-layer reference path for every paper
     precision (``docs/kernels.md``).
 

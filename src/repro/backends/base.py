@@ -8,7 +8,7 @@ trailing activation-quantizer) pairs tagged with an operation kind —
 and share the one loop that executes it, :meth:`Backend.run`.  They
 differ only in their per-unit step, :meth:`Walk.step`: the reference
 step calls the layers' own ``forward`` methods, the fused step runs
-single-pass kernels over reusable buffers, and future backends
+single-pass kernels, and future backends
 (threaded, integer-arithmetic, accelerator-sim-backed) slot in behind
 the same entry points without touching any caller.
 """
@@ -44,7 +44,8 @@ class Unit:
     """One schedulable step: a layer plus its trailing activation quant.
 
     ``index`` is the layer's position in ``pipeline.layers`` — stable
-    across calls, which makes it the natural workspace-buffer key.
+    across calls, which makes it the natural key for per-unit records
+    (a plan's fallbacks, ``observe`` timings).
     ``quant`` is the :class:`FakeQuantLayer` immediately following the
     layer (``None`` when the pipeline doesn't re-quantize this output,
     e.g. after MaxPool/Flatten).

@@ -1,19 +1,19 @@
-"""The fused backend: single-pass kernels over reusable buffers.
+"""The fused backend: single-pass kernels, no memory kept between batches.
 
 Executes each :func:`~repro.backends.base.compile_units` unit through
 the :mod:`repro.kernels` fused routines — quantize, matmul/im2col-conv,
-pool and ReLU collapsed into single passes writing into
-preallocated per-layer :class:`~repro.kernels.workspace.Workspace`
-buffers that are reused across batches.  Outputs are bitwise-equal to
-the reference backend for every paper precision (property-tested in
+pool and ReLU collapsed into single passes.  Each kernel allocates the
+array it produces or updates in place an array the walk already owns,
+so every intermediate dies once the next unit has read it, as on the
+reference path.  Outputs are bitwise-equal to the reference backend for
+every paper precision (property-tested in
 ``tests/kernels/test_parity.py``).
 
-Thread safety: workspaces are mutable scratch memory, so the backend
-keeps one compiled plan (units + workspace) per *(pipeline, thread)*
-via a ``threading.local`` of weak pipeline maps.  Concurrent serve
-workers running the same frozen pipeline therefore never share a
-buffer, preserving the lock-free inference contract of
-``QuantizedNetwork.freeze()``.
+Thread safety: a compiled plan (units, fusability flags, fallbacks) is
+immutable, so the backend keeps one plan per pipeline, in a weak map
+shared by every thread.  Concurrent serve workers running the same
+frozen pipeline share its plan and nothing else, preserving the
+lock-free inference contract of ``QuantizedNetwork.freeze()``.
 
 Fallbacks (always safe, never silent):
 
@@ -29,7 +29,6 @@ Fallbacks (always safe, never silent):
 from __future__ import annotations
 
 import math
-import threading
 import weakref
 from typing import List, Optional, Tuple
 
@@ -48,7 +47,6 @@ from repro.kernels.fused import (
     fused_relu_quantize,
     to_nchw,
 )
-from repro.kernels.workspace import Workspace
 from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense
 from repro.nn.im2col import conv_output_size
@@ -64,9 +62,9 @@ _FUSED_KINDS = frozenset({"dense", "conv", "maxpool", "avgpool", "act", "quant",
 
 
 class _Plan:
-    """Compiled units + scratch workspace for one (pipeline, thread)."""
+    """Compiled units of one pipeline and which of them take a kernel."""
 
-    __slots__ = ("layer_ids", "units", "fusable", "fallbacks", "workspace")
+    __slots__ = ("layer_ids", "units", "fusable", "fallbacks")
 
     def __init__(self, pipeline: Sequential):
         self.layer_ids = tuple(map(id, pipeline.layers))
@@ -77,7 +75,6 @@ class _Plan:
             unit.index for unit, fusable in zip(self.units, self.fusable)
             if not fusable
         )
-        self.workspace = Workspace()
 
 
 def _unit_fusable(unit: Unit) -> bool:
@@ -116,51 +113,44 @@ class _FusedWalk(Walk):
     """One batch through a fused plan: a kernel per fusable unit, the
     base step for the plan's fallbacks.
 
-    ``state`` is the ownership of ``x``: ``"user"`` (the caller's array
-    — never write, never copy), ``"fresh"`` (dead temporary from a base
-    step — writable, the caller may keep it) or ``"ws"`` (workspace
-    buffer — writable, copied out before returning, because the next
-    batch overwrites it).  ``chwn`` tracks whether ``x`` is in
-    channel-major (C, H, W, N) layout.
+    ``owned`` says whether the walk made ``x`` itself (writable in
+    place, and the caller may keep it) or ``x`` is, or is a view of,
+    the caller's input (never written).  ``chwn`` tracks whether ``x``
+    is in channel-major (C, H, W, N) layout.
     """
 
-    __slots__ = ("plan", "state", "chwn")
+    __slots__ = ("plan", "owned", "chwn")
 
     def __init__(self, plan: _Plan, x: np.ndarray):
         super().__init__(plan.units, x)
         self.plan = plan
-        self.state = "user"
+        self.owned = False
         self.chwn = False
 
     def step(self, unit: Unit) -> None:
         if unit.index not in self.plan.fallbacks:
-            self.x, self.state, self.chwn = _run_fused(
-                unit, self.x, self.plan.workspace, self.state, self.chwn
+            self.x, self.owned, self.chwn = _run_fused(
+                unit, self.x, self.owned, self.chwn
             )
             return
         if self.chwn:
-            self.x = to_nchw(self.x, self.plan.workspace, ("fallback", unit.index))
-            self.chwn = False
-            self.state = "ws"
+            self.x, self.owned, self.chwn = to_nchw(self.x), True, False
         prev = self.x
         super().step(unit)
         # A forward that handed back the same array or a view (Flatten,
         # identity quant) inherits prev's ownership; only a genuinely
-        # new allocation is a dead temporary.
+        # new allocation is the walk's own.
         if self.x is not prev and self.x.base is None:
-            self.state = "fresh"
+            self.owned = True
 
     def output(self) -> np.ndarray:
-        if self.chwn:
-            return to_nchw(self.x, self.plan.workspace, "final").copy()
-        return self.x.copy() if self.state == "ws" else self.x
+        return to_nchw(self.x) if self.chwn else self.x
 
 
 def _run_fused(
-    unit: Unit, x: np.ndarray, ws: Workspace, state: str, chwn: bool
-) -> Tuple[np.ndarray, str, bool]:
-    kind, layer, key = unit.kind, unit.layer, unit.index
-    writable = state != "user"
+    unit: Unit, x: np.ndarray, owned: bool, chwn: bool
+) -> Tuple[np.ndarray, bool, bool]:
+    kind, layer = unit.kind, unit.layer
     if kind == "dense":
         if x.ndim != 2 or x.shape[1] != layer.in_features:
             raise ShapeError(
@@ -168,8 +158,8 @@ def _run_fused(
                 f"got {x.shape}"
             )
         bias = layer.bias.data if layer.bias is not None else None
-        out = fused_dense(x, layer.weight.data, bias, ws, key)
-        return _quant_tail(unit, out, ws, key), "ws", False
+        out = fused_dense(x, layer.weight.data, bias)
+        return _quant_tail(unit, out), True, False
     if kind == "conv":
         in_c = x.shape[0] if chwn else (x.shape[1] if x.ndim == 4 else -1)
         if x.ndim != 4 or in_c != layer.in_channels:
@@ -180,9 +170,9 @@ def _run_fused(
         bias = layer.bias.data if layer.bias is not None else None
         out = fused_conv2d(
             x, layer.weight.data, bias, layer.stride, layer.padding,
-            *_out_hw(layer, x, chwn), ws, key, chwn_in=chwn,
+            *_out_hw(layer, x, chwn), chwn_in=chwn,
         )
-        return _quant_tail(unit, out, ws, key), "ws", True
+        return _quant_tail(unit, out), True, True
     if kind in ("maxpool", "avgpool"):
         if x.ndim != 4:
             raise ShapeError(
@@ -191,65 +181,57 @@ def _run_fused(
         kernel_fn = fused_maxpool if kind == "maxpool" else fused_avgpool
         out = kernel_fn(
             x, layer.kernel_size, layer.stride, layer.padding,
-            *_out_hw(layer, x, chwn), ws, key, chwn=chwn,
+            *_out_hw(layer, x, chwn), chwn=chwn,
         )
-        return _quant_tail(unit, out, ws, key), "ws", chwn
+        return _quant_tail(unit, out), True, chwn
     if kind == "act":
         quant = unit.quant.quantizer if unit.quant is not None else None
         hint = _hint(unit.quant) if unit.quant is not None else None
-        out = fused_relu_quantize(quant, x, hint, ws, key, in_place=writable)
-        return out, (state if out is x else "ws"), chwn
+        return fused_relu_quantize(quant, x, hint, in_place=owned), True, chwn
     if kind == "quant":
-        out = fused_quantize(
-            layer.quantizer, x, _hint(layer), ws, key, in_place=writable
-        )
-        return out, (state if out is x else "ws"), chwn
-    # reshape (Flatten)
+        out = fused_quantize(layer.quantizer, x, _hint(layer), in_place=owned)
+        return out, owned or out is not x, chwn
+    # reshape (Flatten): the explicit feature count keeps an empty batch
+    # reshapeable
     if chwn:
-        c, h, w, n = x.shape
-        flat = ws.get((key, "flat"), (n, c * h * w), np.float32)
-        np.copyto(flat.reshape(n, c, h, w), x.transpose(3, 0, 1, 2))
-        return flat, "ws", False
+        nchw = to_nchw(x)
+        return nchw.reshape(nchw.shape[0], math.prod(nchw.shape[1:])), True, False
     # Flatten's C-ordered result: a view of a C-ordered input, whose
     # ownership follows it, else a fresh copy
     flat = np.ascontiguousarray(x.reshape(x.shape[0], math.prod(x.shape[1:])))
-    return flat, (state if flat.base is not None else "fresh"), False
+    return flat, owned or flat.base is None, False
 
 
-def _quant_tail(unit: Unit, out: np.ndarray, ws: Workspace, key: int) -> np.ndarray:
+def _quant_tail(unit: Unit, out: np.ndarray) -> np.ndarray:
     if unit.quant is None:
         return out
-    # `out` is always this unit's own scratch buffer: quantize it where
-    # it sits
+    # `out` is always this unit's own fresh array: quantize it where it
+    # sits
     return fused_quantize(
-        unit.quant.quantizer, out, _hint(unit.quant), ws, (key, "post"),
-        in_place=True,
+        unit.quant.quantizer, out, _hint(unit.quant), in_place=True
     )
 
 
 class FusedBackend(Backend):
-    """Fused-kernel execution with per-(pipeline, thread) workspaces."""
+    """Fused-kernel execution over one immutable plan per pipeline."""
 
     name = "fused"
 
     def __init__(self) -> None:
-        self._local = threading.local()
+        self._plans: "weakref.WeakKeyDictionary[Sequential, _Plan]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     # ------------------------------------------------------------------
     # Plans
     # ------------------------------------------------------------------
     def _plan(self, pipeline: Sequential) -> _Plan:
-        plans = getattr(self._local, "plans", None)
-        if plans is None:
-            plans = self._local.plans = weakref.WeakKeyDictionary()
-        plan = plans.get(pipeline)
+        # Two threads may compile one pipeline at once; the plans are
+        # equal and immutable, so whichever is stored last serves.
+        plan = self._plans.get(pipeline)
         if plan is None or plan.layer_ids != tuple(map(id, pipeline.layers)):
-            plan = plans[pipeline] = _Plan(pipeline)
+            plan = self._plans[pipeline] = _Plan(pipeline)
         return plan
-
-    def workspace_for(self, pipeline: Sequential) -> Workspace:
-        """This thread's workspace for ``pipeline`` (for buffer tests)."""
-        return self._plan(pipeline).workspace
 
     # ------------------------------------------------------------------
     # Whole-pipeline execution
@@ -269,18 +251,11 @@ class FusedBackend(Backend):
     # ------------------------------------------------------------------
     # Per-operation entry points (each returns a caller-owned array)
     # ------------------------------------------------------------------
-    def _scratch(self) -> Workspace:
-        try:
-            return self._local.scratch
-        except AttributeError:
-            scratch = self._local.scratch = Workspace()
-            return scratch
-
     def dense(self, layer: Dense, x: np.ndarray) -> np.ndarray:
         if type(layer) is not Dense:
             return layer.forward(x)
         bias = layer.bias.data if layer.bias is not None else None
-        return fused_dense(x, layer.weight.data, bias, self._scratch(), "dense").copy()
+        return fused_dense(x, layer.weight.data, bias)
 
     def conv(self, layer: Conv2D, x: np.ndarray) -> np.ndarray:
         if type(layer) is not Conv2D:
@@ -288,9 +263,10 @@ class FusedBackend(Backend):
         bias = layer.bias.data if layer.bias is not None else None
         out = fused_conv2d(
             x, layer.weight.data, bias, layer.stride, layer.padding,
-            *_out_hw(layer, x, False), self._scratch(), "conv",
+            *_out_hw(layer, x, False),
         )
-        return out.transpose(3, 0, 1, 2).copy()
+        # the NCHW view of channel-major memory Conv2D.forward returns
+        return out.transpose(3, 0, 1, 2)
 
     def pool(self, layer: Module, x: np.ndarray) -> np.ndarray:
         if type(layer) not in (MaxPool2D, AvgPool2D):
@@ -298,8 +274,8 @@ class FusedBackend(Backend):
         kernel_fn = fused_maxpool if type(layer) is MaxPool2D else fused_avgpool
         return kernel_fn(
             x, layer.kernel_size, layer.stride, layer.padding,
-            *_out_hw(layer, x, False), self._scratch(), "pool",
-        ).copy()
+            *_out_hw(layer, x, False),
+        )
 
     def act(self, layer: Module, x: np.ndarray) -> np.ndarray:
         return layer.forward(x)

@@ -663,6 +663,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
     images = split.test.images[:limit]
 
     network = build_network(args.network, seed=args.seed)
+    # before the timed pass, so that a spec the simulator refuses fails fast
+    sim_report = None
+    if args.sim:
+        sim_report = hw.EnergyModel().simulate(
+            network, info.input_shape, spec
+        )
     if args.weights:
         nn.load_network_weights(network, args.weights)
     qnet = core.QuantizedNetwork(network, spec)
@@ -738,11 +744,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         parity_ok = reference.tobytes() == logits.tobytes()
 
     test_accuracy = nn.accuracy(logits, split.test.labels[:limit])
-    sim_report = None
-    if args.sim:
-        sim_report = hw.EnergyModel().simulate(
-            network, info.input_shape, spec
-        )
     if args.json:
         payload = {
             "network": args.network,

@@ -103,17 +103,25 @@ def assignment_weight_kb(
 ) -> float:
     """Parameter memory (KB) of a mixed-precision assignment.
 
-    Biases are counted at the widest assigned precision, matching the
-    uniform-precision accounting in :mod:`repro.hw.memory_footprint`.
+    Each weight tensor is stored at its assigned width and the rest of
+    its layer's parameters (the bias) at the layer's widest weight
+    width; a layer without weights stores its parameters at the widest
+    assigned width.  That is the rule
+    :func:`~repro.hw.memory_footprint.network_memory_footprint` applies
+    to a per-layer spec.
     """
-    total_bits = 0
     widest = max(spec.weight_bits for spec in assignment.values())
-    weight_ids = {id(p) for p in network.weight_parameters()}
-    for param in network.weight_parameters():
-        total_bits += param.size * assignment[param.name].weight_bits
-    for param in network.parameters():
-        if id(param) not in weight_ids:
-            total_bits += param.size * widest
+    total_bits = 0
+    for layer in network.layers:
+        widths = {
+            id(param): assignment[param.name].weight_bits
+            for param in layer.weight_parameters()
+        }
+        rest = max(widths.values(), default=widest)
+        total_bits += sum(
+            param.size * widths.get(id(param), rest)
+            for param in layer.parameters()
+        )
     return total_bits / 8192.0
 
 

@@ -300,10 +300,10 @@ class FrozenQuantizedNetwork:
     lifetime of the frozen view, the pipeline is put in eval mode, and
     ``forward`` runs the (now read-only) pipeline on the backend resolved
     at freeze time (``freeze(backend=...)``).  Every layer caches
-    backward state only in training mode, and the fused backend keeps its
-    plan and workspaces thread-local, so concurrent forwards do not
-    interfere — this is what lets a serving engine share one calibrated
-    network across a pool of worker threads.
+    backward state only in training mode, and the fused backend's plan is
+    immutable and its intermediates are per call, so concurrent forwards
+    do not interfere — this is what lets a serving engine share one
+    calibrated network across a pool of worker threads.
 
     While frozen, the underlying float network holds the quantized
     values; :meth:`thaw` restores the full-precision shadow and

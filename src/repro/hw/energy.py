@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.core.precision import LayeredPrecisionSpec, PrecisionSpec
+from repro.errors import ConfigError
 from repro.hw.accelerator import Accelerator, AcceleratorConfig
 from repro.hw.scheduler import Schedule, TileScheduler
 from repro.hw.tech import TECH_65NM, TechnologyLibrary
@@ -149,6 +150,12 @@ class EnergyModel:
             layers=tuple(layers),
         )
 
+    @staticmethod
+    def simulable(spec: PrecisionSpec) -> bool:
+        """Whether :meth:`simulate` can run ``spec``: the simulator
+        prices one datapath width at a time, so not a per-layer spec."""
+        return not isinstance(spec, LayeredPrecisionSpec)
+
     def simulate(
         self,
         network: Sequential,
@@ -163,10 +170,18 @@ class EnergyModel:
         returns its :class:`repro.hw.sim.SimReport` — which carries the
         analytical cycles/energy alongside the simulated ones, so the
         cross-validation gap is one attribute away
-        (``report.energy_gap_pct``).
+        (``report.energy_gap_pct``).  A spec :meth:`simulable` refuses
+        raises :class:`~repro.errors.ConfigError`.
         """
         from repro.hw.sim import SimConfig, TileSimulator
 
+        if not self.simulable(spec):
+            raise ConfigError(
+                "precision",
+                f"{spec.key!r} gives each layer its own weight width, but "
+                "the cycle-level simulator runs one datapath width at a "
+                "time; price it with evaluate",
+            )
         accelerator = self.accelerator_for(spec)
         schedule = TileScheduler(accelerator).schedule(network, input_shape)
         return TileSimulator(

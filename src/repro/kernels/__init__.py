@@ -1,12 +1,14 @@
-"""Fused quantized-inference kernels and their reusable workspaces.
+"""Fused quantized-inference kernels.
 
 The kernels here are the compute substrate of the ``fused`` backend in
 :mod:`repro.backends`: single-pass quantize / matmul / im2col-conv /
-pool / ReLU routines that write into preallocated
-:class:`~repro.kernels.workspace.Workspace` buffers instead of
-allocating per batch, while staying bitwise-equal to the reference
-layer-by-layer path for every paper precision.  See ``docs/kernels.md``
-for the design and the rules for adding a new backend on top of them.
+pool / ReLU routines that allocate what they produce, or update in
+place an array their caller owns, and keep nothing between calls,
+while staying bitwise-equal to the reference layer-by-layer path for
+every paper precision.  A :class:`~repro.kernels.workspace.Workspace`
+can hold :func:`fused_quantize`'s result for a caller that times the
+kernel on one buffer.  See ``docs/kernels.md`` for the design and the
+rules for adding a new backend on top of them.
 """
 
 from repro.kernels.fused import (

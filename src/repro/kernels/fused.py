@@ -1,13 +1,16 @@
-"""Fused, buffer-reusing inference kernels.
+"""Fused inference kernels that keep no memory between calls.
 
 Each kernel collapses what the layer-by-layer reference path does in
-several numpy passes (quantize -> im2col/matmul -> clip -> activation,
-each allocating temporaries) into the minimum number of vectorized
-passes over preallocated :class:`~repro.kernels.workspace.Workspace`
-buffers.  No kernel selects through a mask: quantization saturates
-with one ``clip`` before it scales, and the ReLU is the branch-free
-``fmax`` rectifier (:func:`~repro.nn.activations.relu`) that training
-and the reference layer run too.
+several numpy passes (quantize -> im2col/matmul -> clip -> activation)
+into the minimum number of vectorized passes.  A kernel allocates the
+array it produces, or updates in place an array its caller owns; it
+holds nothing afterwards, so every intermediate dies once the next
+unit has read it and the next batch writes into memory the allocator
+has just handed back warm.  No kernel selects through a mask:
+quantization saturates with one ``clip`` before it scales, and the
+ReLU is the branch-free ``fmax`` rectifier
+(:func:`~repro.nn.activations.relu`) that training and the reference
+layer run too.
 
 Every kernel is **bitwise-equal** to the reference implementation it
 replaces (``repro.nn`` layer ``forward`` + ``FakeQuantLayer``).  Three
@@ -17,8 +20,7 @@ choices carry the speed without breaking that contract:
   (:func:`~repro.core.fixed_point.quantize_fixed`), the one-copy
   im2col lowering (:func:`~repro.nn.im2col.im2col`) and the pooling walks
   (:func:`~repro.nn.pooling.max_pool` / ``sum_pool``) are the very
-  functions the reference layers run, handed workspace buffers through
-  ``out=``;
+  functions the reference layers run;
 - *channel-major (CHWN) activations*: the im2col matmul naturally
   produces ``(C_out, OH, OW, N)``; since quantize/ReLU are elementwise
   and pooling windows are layout-agnostic, downstream kernels accept
@@ -26,8 +28,8 @@ choices carry the speed without breaking that contract:
   order behind NCHW views, so neither path copies after a convolution:
   both make one C-ordered copy at ``Flatten``, and this path copies to
   NCHW at a fallback unit or the pipeline boundary;
-- *in-place updates*: a tensor owned by scratch memory is quantized
-  and rectified where it sits instead of into a fresh buffer.
+- *in-place updates*: a tensor the walk made itself is quantized and
+  rectified where it sits instead of into a fresh array.
 
 The property tests in ``tests/kernels/test_parity.py`` enforce bitwise
 output parity for every Table III precision.
@@ -84,17 +86,18 @@ def fused_quantize(
     quantizer: Optional[Quantizer],
     x: np.ndarray,
     range_hint: Optional[float],
-    ws: Workspace,
-    key: Hashable,
+    ws: Optional[Workspace] = None,
+    key: Hashable = None,
     in_place: bool = False,
 ) -> np.ndarray:
-    """Quantize ``x`` into scratch (or, with ``in_place``, into ``x``).
+    """Quantize ``x`` into a fresh array, or with ``in_place`` into ``x``.
 
     The caller must have checked :func:`fusable_quantizer`; an identity
-    quantizer is a true pass-through (float32 in, same array out), so
-    no buffer is touched.  ``in_place`` may only be set when ``x`` is
-    memory the caller owns (a workspace buffer or a dead temporary) —
-    never on the user's input array.
+    quantizer is a true pass-through (float32 in, same array out).
+    ``in_place`` may only be set when ``x`` is memory the caller owns —
+    never on the user's input array.  A :class:`Workspace` ``ws`` holds
+    the result under ``key`` instead of a fresh array, for callers that
+    time the kernel on one buffer.
     """
     if quantizer is None:
         return x
@@ -102,7 +105,12 @@ def fused_quantize(
         return np.asarray(x, dtype=np.float32)
     x = np.asarray(x, dtype=np.float32)
     frac = quantizer.resolve_frac_bits(x, range_hint)
-    out = x if in_place else ws.get((key, "q32"), x.shape, np.float32)
+    if in_place:
+        out = x
+    elif ws is not None:
+        out = ws.get((key, "q32"), x.shape, np.float32)
+    else:
+        out = None
     return quantize_fixed(x, quantizer.bits, frac, out=out)
 
 
@@ -110,36 +118,28 @@ def fused_relu_quantize(
     quantizer: Optional[Quantizer],
     x: np.ndarray,
     range_hint: Optional[float],
-    ws: Workspace,
-    key: Hashable,
     in_place: bool = False,
 ) -> np.ndarray:
-    """ReLU, then activation quantization, in one buffer.
+    """ReLU, then activation quantization, in one array.
 
     The reference order: :func:`~repro.nn.activations.relu` rectifies
-    into scratch (or, with ``in_place``, into ``x``), then
-    :func:`fused_quantize` quantizes that buffer where it sits.  The
+    into a fresh array (or, with ``in_place``, into ``x``), then
+    :func:`fused_quantize` quantizes that array where it sits.  The
     dynamic radix point is therefore placed from the rectified tensor,
     by the quantizer's own ``resolve_frac_bits``.
     """
-    out = x if in_place else ws.get((key, "relu"), x.shape, np.float32)
-    relu(x, out=out)
-    return fused_quantize(quantizer, out, range_hint, ws, key, in_place=True)
+    out = relu(x, out=x if in_place else None)
+    return fused_quantize(quantizer, out, range_hint, in_place=True)
 
 
 def fused_dense(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray],
-    ws: Workspace,
-    key: Hashable,
+    x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]
 ) -> np.ndarray:
-    """``x @ W + b`` straight into a workspace buffer."""
-    out = ws.get((key, "out"), (x.shape[0], weight.shape[1]), np.float32)
-    np.matmul(x, weight, out=out)
+    """``x @ W + b`` into a fresh array, as ``Dense.forward`` computes it."""
+    out = x @ weight
     if bias is not None:
         out += bias
-    return out
+    return out.astype(np.float32, copy=False)
 
 
 def fused_conv2d(
@@ -150,61 +150,36 @@ def fused_conv2d(
     padding: int,
     out_h: int,
     out_w: int,
-    ws: Workspace,
-    key: Hashable,
     chwn_in: bool = False,
 ) -> np.ndarray:
-    """im2col convolution with every intermediate in workspace buffers.
-
-    One padded copy (only when ``padding > 0``), one im2col copy from
-    a strided window view, one BLAS matmul with ``out=``, and an
-    in-place bias add.
+    """im2col convolution as ``Conv2D.forward`` runs it: the shared
+    :func:`~repro.nn.im2col.im2col` lowering (which pads into its
+    channel-major source), one BLAS matmul and an in-place bias add.
 
     Returns the result in **channel-major** layout ``(C_out, OH, OW,
-    N)`` — a free reshape of the matmul buffer, whose NCHW view is what
+    N)`` — a free reshape of the matmul result, whose NCHW view is what
     the reference ``Conv2D.forward`` returns; a copy to NCHW memory is
     left to whoever actually needs it (``to_nchw``).  Input may be
     NCHW or, with ``chwn_in``, channel-major.
     """
-    if chwn_in:
-        c, h, w, n = x.shape
-    else:
-        n, c, h, w = x.shape
+    n = x.shape[3] if chwn_in else x.shape[0]
     out_c, _, kernel, _ = weight.shape
-    if padding > 0:
-        if chwn_in:
-            pad = ws.get((key, "pad"), (c, h + 2 * padding, w + 2 * padding, n))
-            pad.fill(0.0)
-            pad[:, padding : padding + h, padding : padding + w, :] = x
-        else:
-            pad = ws.get((key, "pad"), (n, c, h + 2 * padding, w + 2 * padding))
-            pad.fill(0.0)
-            pad[:, :, padding : padding + h, padding : padding + w] = x
-        src = pad
-    else:
-        src = x
-    cols = ws.get((key, "cols"), (c * kernel * kernel, n * out_h * out_w))
-    im2col(src, kernel, stride, 0, out=cols, chwn=chwn_in)
-    w_mat = weight.reshape(out_c, -1)
-    mm = ws.get((key, "mm"), (out_c, n * out_h * out_w))
-    np.matmul(w_mat, cols, out=mm)
+    cols = im2col(x, kernel, stride, padding, chwn=chwn_in)
+    mm = weight.reshape(out_c, -1) @ cols
     if bias is not None:
         mm += bias[:, None]
-    return mm.reshape(out_c, out_h, out_w, n)
+    return mm.reshape(out_c, out_h, out_w, n).astype(np.float32, copy=False)
 
 
-def to_nchw(x: np.ndarray, ws: Workspace, key: Hashable) -> np.ndarray:
+def to_nchw(x: np.ndarray) -> np.ndarray:
     """Transpose-copy a channel-major ``(C, H, W, N)`` tensor to NCHW."""
-    c, h, w, n = x.shape
-    out = ws.get((key, "nchw"), (n, c, h, w))
-    np.copyto(out, x.transpose(3, 0, 1, 2))
-    return out
+    return np.ascontiguousarray(x.transpose(3, 0, 1, 2))
 
 
-def _pool_out(x, out_h, out_w, ws, key, chwn):
+def _pool_out(x, out_h, out_w, chwn):
     if chwn:
-        return ws.get((key, "out"), (x.shape[0], out_h, out_w, x.shape[3]))
-    return ws.get((key, "out"), (x.shape[0], x.shape[1], out_h, out_w))
+        return np.empty((x.shape[0], out_h, out_w, x.shape[3]), np.float32)
+    return np.empty((x.shape[0], x.shape[1], out_h, out_w), np.float32)
 
 
 def fused_maxpool(
@@ -214,15 +189,12 @@ def fused_maxpool(
     padding: int,
     out_h: int,
     out_w: int,
-    ws: Workspace,
-    key: Hashable,
     chwn: bool = False,
 ) -> np.ndarray:
     """The reference :func:`~repro.nn.pooling.max_pool` walk into a
-    workspace buffer; output layout follows the input layout."""
-    src = pool_source(x, kernel, stride, padding, out_h, out_w, -np.inf, chwn,
-                      lambda shape: ws.get((key, "pad"), shape))
-    return max_pool(src, kernel, stride, _pool_out(x, out_h, out_w, ws, key, chwn), chwn)
+    fresh array; output layout follows the input layout."""
+    src = pool_source(x, kernel, stride, padding, out_h, out_w, -np.inf, chwn)
+    return max_pool(src, kernel, stride, _pool_out(x, out_h, out_w, chwn), chwn)
 
 
 def fused_avgpool(
@@ -232,13 +204,10 @@ def fused_avgpool(
     padding: int,
     out_h: int,
     out_w: int,
-    ws: Workspace,
-    key: Hashable,
     chwn: bool = False,
 ) -> np.ndarray:
     """The reference :func:`~repro.nn.pooling.sum_pool` walk and
-    full-window division (Caffe ``AVE``) into a workspace buffer."""
-    src = pool_source(x, kernel, stride, padding, out_h, out_w, 0.0, chwn,
-                      lambda shape: ws.get((key, "pad"), shape))
-    out = sum_pool(src, kernel, stride, _pool_out(x, out_h, out_w, ws, key, chwn), chwn)
+    full-window division (Caffe ``AVE``) into a fresh array."""
+    src = pool_source(x, kernel, stride, padding, out_h, out_w, 0.0, chwn)
+    out = sum_pool(src, kernel, stride, _pool_out(x, out_h, out_w, chwn), chwn)
     return np.divide(out, float(kernel * kernel), out=out)

@@ -1,15 +1,13 @@
-"""Preallocated, reusable kernel buffers.
+"""Named, reusable kernel buffers.
 
-Every fused kernel writes into buffers owned by a :class:`Workspace`
-instead of allocating fresh arrays per batch.  Buffers are keyed by
-``(name, tuple(shape), dtype)``: re-running the same batch shape reuses the
-existing buffer (``hits`` grows, ``allocations`` does not), while a
-batch-size change is revalidated into a freshly sized buffer — exactly
-the contract the buffer-reuse tests lock.
+:func:`~repro.kernels.fused.fused_quantize` writes into a buffer owned
+by a :class:`Workspace` when its caller hands it one, e.g. to time the
+kernel on one buffer; the fused backend itself keeps no scratch memory.
+Buffers are keyed by ``(name, tuple(shape), dtype)``: re-running the
+same shape reuses the existing buffer (``hits`` grows, ``allocations``
+does not), while a new shape gets a freshly sized buffer.
 
-A workspace is **not** thread-safe; the fused backend keeps one
-workspace per (pipeline, thread), which is what makes lock-free
-concurrent serving possible on top of mutable scratch memory.
+A workspace is **not** thread-safe: give each thread its own.
 """
 
 from __future__ import annotations

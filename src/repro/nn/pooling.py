@@ -16,7 +16,7 @@ is walked with the batch innermost and contiguous.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -93,13 +93,11 @@ def pool_source(
     out_w: int,
     fill: float,
     chwn: bool = False,
-    alloc: Optional[Callable[[tuple], np.ndarray]] = None,
 ) -> np.ndarray:
     """Pad ``x`` so every (possibly partial, ceil-mode) window is whole.
 
     ``x`` itself comes back when every window already fits; otherwise
-    a ``fill``-padded copy, in a buffer from ``alloc(shape)`` when
-    given (else of ``x``'s dtype).  Spatial axes as in
+    a ``fill``-padded copy of ``x``'s dtype.  Spatial axes as in
     :func:`~repro.nn.im2col.window_views`.
     """
     axis = 1 if chwn else 2
@@ -110,7 +108,7 @@ def pool_source(
         return x
     shape = list(x.shape)
     shape[axis : axis + 2] = padding + h + bottom, padding + w + right
-    pad = alloc(tuple(shape)) if alloc else np.empty(shape, dtype=x.dtype)
+    pad = np.empty(shape, dtype=x.dtype)
     pad.fill(fill)
     interior = (slice(None),) * axis + (slice(padding, padding + h), slice(padding, padding + w))
     pad[interior] = x

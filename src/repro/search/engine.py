@@ -355,9 +355,12 @@ class PrecisionSearch:
             self.cache.root, f"search-{self.space.fingerprint()[:12]}.json"
         )
 
-    def _save_state(self, generation: int, pool_size: int) -> None:
+    def _save_state(self, generation: int, pool_size: int, recorded: int) -> None:
+        """Record ``generation`` as done, unless the state file this run
+        resumed from already records it (``recorded``, from
+        :meth:`_check_resume`): a replay leaves that file untouched."""
         path = self.state_path()
-        if path is None:
+        if path is None or generation <= recorded:
             return
         payload = {
             "schema": STATE_SCHEMA,
@@ -369,13 +372,14 @@ class PrecisionSearch:
         }
         atomic_write(path, json.dumps(payload, indent=1).encode("utf-8"))
 
-    def _check_resume(self) -> None:
+    def _check_resume(self) -> int:
         """Validate any prior state file against this run's identity.
 
         The actual resume mechanism is the salted cache — replaying
         the deterministic loop turns finished points into cache hits —
         so all the state file must do is refuse to resume a *different*
-        search into this cache namespace.
+        search into this cache namespace.  Returns the last generation
+        a current-schema file records as done, else -1.
         """
         path = self.state_path()
         if path is None:
@@ -384,7 +388,7 @@ class PrecisionSearch:
             )
         if not os.path.exists(path):
             logger.info("search resume: no prior state at %s; fresh run", path)
-            return
+            return -1
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 state = json.load(handle)
@@ -412,16 +416,17 @@ class PrecisionSearch:
                 f"state file {path} used seed {state.get('seed')}, "
                 f"this run uses {self.config.seed}",
             )
+        done = state.get("generations_done")
         logger.info(
-            "search resume: replaying %s generation(s) from cache",
-            state.get("generations_done", 0),
+            "search resume: replaying %s generation(s) from cache", done or 0
         )
+        current = state.get("schema") == STATE_SCHEMA and type(done) is int
+        return done if current else -1
 
     # -- the loop ------------------------------------------------------
     def run(self, resume: bool = False) -> SearchResult:
         """Execute the full search; see the module docstring."""
-        if resume:
-            self._check_resume()
+        recorded = self._check_resume() if resume else -1
         metrics = get_metrics()
         tracer = get_tracer()
         pool: Dict[str, EvaluatedCandidate] = {}
@@ -450,7 +455,7 @@ class PrecisionSearch:
                 metrics.counter("search.generation").inc()
                 for entry in self._evaluate(seeds, generation=0):
                     pool[entry.candidate.key] = entry
-            self._save_state(0, len(pool))
+            self._save_state(0, len(pool), recorded)
 
             for generation in range(1, self.config.generations + 1):
                 frontier = pareto_frontier(self._feasible(pool))
@@ -468,7 +473,7 @@ class PrecisionSearch:
                     for entry in self._evaluate(children, generation):
                         pool[entry.candidate.key] = entry
                 generations_run = generation
-                self._save_state(generation, len(pool))
+                self._save_state(generation, len(pool), recorded)
 
         frontier = pareto_frontier(self._feasible(pool))
         grid_points = [
@@ -507,8 +512,8 @@ class PrecisionSearch:
             if entry is None:
                 continue
             spec = entry.candidate.spec()
-            if getattr(spec, "weight_bits_per_layer", None):
-                continue  # simulator prices one datapath width at a time
+            if not self.energy_model.simulable(spec):
+                continue
             report = self.energy_model.simulate(
                 self._network(entry.candidate.network),
                 self._input_shape,

@@ -11,9 +11,8 @@ Each replica owns a small :class:`TensorRing` of fixed-size *slots*.
 A slot is one shared-memory segment laid out as ``[input region |
 output region]``; the replica writes the logits into the output region
 of the very slot the inputs arrived in, so a round trip touches exactly
-one segment.  Slot ownership is tracked front-end-side with the same
-explicit state discipline as the fused kernels' workspace buffers
-(``repro.kernels.workspace``):
+one segment.  Slot ownership is tracked front-end-side with an
+explicit state per slot:
 
 ``FREE``
     nobody may touch the bytes; acquirable by the dispatcher.

@@ -93,6 +93,25 @@ def test_assignment_weight_kb_monotone(trained_setup):
     assert wide / narrow == pytest.approx(4.0, rel=0.05)
 
 
+def test_assignment_weight_kb_matches_the_memory_footprint():
+    """The per-tensor twin of a per-layer spec stores the same bytes:
+    each bias at its own layer's weight width, not the widest one."""
+    from repro.hw.memory_footprint import network_memory_footprint
+    from repro.zoo import build_network, network_info
+
+    net = build_network("lenet_small", seed=0)
+    spec = core.PrecisionSpec.parse("fixed:2,4,8,8:8")
+    assignment = {
+        param.name: layer_spec
+        for layer, layer_spec in spec.weight_layer_specs(net)
+        for param in layer.weight_parameters()
+    }
+    footprint = network_memory_footprint(
+        net, network_info("lenet_small").input_shape, spec
+    )
+    assert assignment_weight_kb(net, assignment) == footprint.parameter_kb
+
+
 def test_greedy_allocation_respects_budget(trained_setup):
     split, net = trained_setup
     baseline = nn.accuracy(net.predict(split.test.images), split.test.labels)

@@ -13,7 +13,8 @@ import sys
 
 import pytest
 
-from repro.core.precision import PAPER_PRECISIONS
+from repro.core.precision import PAPER_PRECISIONS, PrecisionSpec
+from repro.errors import ConfigError
 from repro.hw import Accelerator, EnergyModel, SimConfig
 from repro.hw.scheduler import TileScheduler
 from repro.hw.sim import STALL_CAUSES, TileSimulator
@@ -60,6 +61,18 @@ def test_sim_matches_analytical_across_paper_networks(network_name):
     )
     assert abs(report.energy_gap_pct) <= ENERGY_TOLERANCE_PCT
     assert abs(report.cycle_gap_pct) <= CYCLE_TOLERANCE_PCT
+
+
+def test_simulate_refuses_a_per_layer_spec():
+    """One datapath width at a time: a per-layer spec would be priced at
+    its widest width (fixed8's energy for fixed:2,4,8,8:8)."""
+    info = network_info("lenet_small")
+    spec = PrecisionSpec.parse("fixed:2,4,8,8:8")
+    model = EnergyModel()
+    assert not model.simulable(spec) and model.simulable(PAPER_PRECISIONS[3])
+    with pytest.raises(ConfigError, match="one datapath width") as raised:
+        model.simulate(build_network("lenet_small"), info.input_shape, spec)
+    assert raised.value.field == "precision"
 
 
 def test_repeated_runs_identical_trace_digest(lenet_workload):

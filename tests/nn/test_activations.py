@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from repro import backends, nn
 from repro.core import FixedPointQuantizer, IdentityQuantizer
 from repro.errors import ConfigurationError, QuantizationError, ShapeError
-from repro.kernels import Workspace, fused_relu_quantize
+from repro.kernels import fused_relu_quantize
 from repro.nn.activations import relu
 
 
@@ -196,12 +196,9 @@ def test_fused_relu_quantize_matches_where_then_quantize(
     range_hint = hint if radix == "hint" else None
     rectified = _where_relu(x)
     source = x.copy()
-    ws = Workspace()
 
     def fused():
-        return fused_relu_quantize(
-            quantizer, source, range_hint, ws, "relu", in_place=in_place
-        )
+        return fused_relu_quantize(quantizer, source, range_hint, in_place=in_place)
 
     if quantizer is None:
         want = rectified

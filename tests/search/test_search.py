@@ -131,12 +131,54 @@ def test_search_writes_resume_state(searched):
     assert state["generations_done"] == result.generations_run
 
 
+def test_sim_check_skips_the_points_the_simulator_refuses(searched):
+    search, result = searched
+    specs = {
+        point.label: result.by_label(point.label).candidate.spec()
+        for point in result.frontier
+    }
+    assert set(search._sim_check(result)) == {
+        label for label, spec in specs.items() if EnergyModel.simulable(spec)
+    }
+
+
 def test_resume_replays_bitwise_from_cache(searched, cache_root):
     _, first = searched
     resumed = PrecisionSearch(make_config(), cache=cache_root).run(resume=True)
     assert frontier_tuples(resumed) == frontier_tuples(first)
     assert resumed.cache_misses == 0
     assert resumed.cache_hits > 0
+
+
+def test_replay_leaves_its_state_file_untouched(searched, cache_root, monkeypatch):
+    """The state file already records every generation a replay walks,
+    so the replay writes nothing (mtimes, not inodes: the filesystem may
+    reuse an inode number across two replaces)."""
+    search, _ = searched
+    path = search.state_path()
+    before = os.stat(path).st_mtime_ns
+    writes = count_calls(monkeypatch, engine, "atomic_write")
+    resumed = PrecisionSearch(make_config(), cache=cache_root).run(resume=True)
+    assert resumed.cache_misses == 0
+    assert writes == []
+    assert os.stat(path).st_mtime_ns == before
+
+
+def test_replay_records_generations_its_state_file_lacks(
+    searched, cache_root, tmp_path, monkeypatch
+):
+    _, first = searched
+    replay = PrecisionSearch(make_config(), cache=copy_cache(cache_root, tmp_path))
+    with open(replay.state_path()) as handle:
+        state = json.load(handle)
+    state["generations_done"] = 0
+    with open(replay.state_path(), "w") as handle:
+        json.dump(state, handle)
+    writes = count_calls(monkeypatch, engine, "atomic_write")
+    replay.run(resume=True)
+    assert len(writes) == first.generations_run  # generations 1.., not 0
+    with open(replay.state_path()) as handle:
+        assert json.load(handle)["generations_done"] == first.generations_run
 
 
 def test_warm_replay_reads_no_states_and_keys_each_sweep_once(

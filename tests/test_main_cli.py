@@ -143,6 +143,17 @@ def test_profile_runs_a_per_layer_spec_at_its_widths(capsys):
         assert layered[name]["bytes_moved"] == fixed8[name]["bytes_moved"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "--precision", "fixed:2,4,8,8:8", "--sim"],
+    ["simulate", "--precision", "fixed:2,4,8,8:8"],
+])
+def test_simulating_a_per_layer_spec_is_a_usage_error(argv, capsys):
+    """The simulator runs one datapath width at a time, so it refuses a
+    per-layer spec rather than price it at its widest width."""
+    assert main(argv + ["--network", "lenet_small"]) == 2
+    assert capsys.readouterr().err.startswith("error: precision:")
+
+
 def test_profile_times_the_backend_it_names(capsys, backend_flag):
     fallbacks = obs.get_metrics().counter("kernels.fused.fallback_units")
     before = fallbacks.value
