@@ -3,12 +3,15 @@
 Trains a small CNN, calibrates an 8-bit fixed-point version, then runs
 the same test set through (a) the float quantization emulation and
 (b) the bit-exact integer pipeline (`IntegerInference`) — the
-arithmetic the accelerator actually performs.  The two must agree,
-which is the guarantee that the emulated accuracies in Tables IV/V
-carry over to hardware.
+arithmetic the accelerator actually performs.  The two must give the
+same logits bit for bit, which is the guarantee that the emulated
+accuracies in Tables IV/V carry over to hardware; the script exits 1
+when they do not.
 
 Run:  python examples/integer_deployment.py
 """
+
+import sys
 
 import numpy as np
 
@@ -18,7 +21,7 @@ from repro.data import load_dataset
 from repro.zoo import build_network
 
 
-def main() -> None:
+def main() -> int:
     split = load_dataset("digits", n_train=1200, n_test=400, seed=0)
     network = build_network("lenet_small", seed=0)
     trainer = nn.Trainer(
@@ -50,10 +53,14 @@ def main() -> None:
     print(f"integer accuracy:       {100 * integer_accuracy:.2f}%")
     print(f"prediction agreement:   {100 * agreement:.2f}%")
     print(f"max logit discrepancy:  {max_logit_gap:.6f}")
-    print("\nThe integer pipeline (what the accelerator computes) matches")
-    print("the float emulation the study uses — the accuracy columns of")
+    if not np.array_equal(emulated_logits, integer_logits):
+        print("\nFAIL: the integer logits differ from the float emulation's.")
+        return 1
+    print("\nThe integer pipeline (what the accelerator computes) gives the")
+    print("float emulation's logits bit for bit — the accuracy columns of")
     print("Tables IV/V are deployable numbers, not emulation artifacts.")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

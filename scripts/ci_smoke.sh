@@ -5,7 +5,7 @@
 # $SMOKE_OUT so the workflow can upload them as artifacts.
 #
 # Usage:
-#   scripts/ci_smoke.sh <serve|chaos|fleet-chaos|profile|kernels|sim|sweep|search|control|all>
+#   scripts/ci_smoke.sh <serve|chaos|fleet-chaos|profile|kernels|integer|sim|sweep|search|control|all>
 #
 # Environment:
 #   SMOKE_OUT   directory for JSON artifacts (default /tmp/repro-smoke)
@@ -102,6 +102,13 @@ print(' '.join(f for f in m.__cpu_dispatch__ if m.__cpu_features__.get(f)))")
     tests/nn/test_activations.py tests/nn/test_pooling.py \
     tests/nn/test_layout.py tests/kernels/test_parity.py \
     tests/core/test_fixed_point.py tests/core/test_training_bitwise.py
+}
+
+smoke_integer() {
+  echo "== smoke: integer golden model (logits bit-identical to the emulation)"
+  # exit status is the verdict: the example exits 1 unless every
+  # integer logit equals the float emulation's
+  python examples/integer_deployment.py
 }
 
 smoke_sim() {
@@ -237,13 +244,14 @@ for target in "$@"; do
     fleet-chaos)  smoke_fleet_chaos ;;
     profile)      smoke_profile ;;
     kernels)      smoke_kernels ;;
+    integer)      smoke_integer ;;
     sim)          smoke_sim ;;
     sweep)        smoke_sweep ;;
     search)       smoke_search ;;
     control)      smoke_control ;;
     all)          smoke_serve; smoke_chaos; smoke_fleet_chaos; \
-                  smoke_profile; smoke_kernels; smoke_sim; smoke_sweep; \
-                  smoke_search; smoke_control ;;
+                  smoke_profile; smoke_kernels; smoke_integer; smoke_sim; \
+                  smoke_sweep; smoke_search; smoke_control ;;
     *)            echo "unknown smoke target: $target" >&2; usage ;;
   esac
 done

@@ -63,16 +63,14 @@ The package is organized as one subpackage per subsystem:
     (``python -m repro serve-bench --chaos 0 --deadline-ms 500``).
 
 ``repro.kernels``
-    Fused quantized-inference kernels: single-pass quantize /
-    im2col-conv / matmul / pool / ReLU routines that update in place
-    what they own and keep no scratch memory between batches, bitwise-
-    equal to the layer-by-layer reference path for every paper
-    precision (``docs/kernels.md``).
+    The fused backend's in-place tails: ReLU and activation quantize
+    written over an array the walk made itself, bitwise-equal to the
+    reference layers for every paper precision (``docs/kernels.md``).
 
 ``repro.backends``
-    Pluggable compute-backend dispatch over those kernels: a uniform
-    ``dense`` / ``conv`` / ``pool`` / ``act`` / ``run`` interface with
-    ``reference`` and ``fused`` implementations, selectable per call
+    Pluggable compute-backend dispatch: a uniform ``dense`` / ``conv``
+    / ``pool`` / ``act`` / ``run`` interface with ``reference`` and
+    ``fused`` implementations, selectable per call
     (``QuantizedNetwork.infer(x, backend=...)``), per network, or
     process-wide (``REPRO_BACKEND`` / ``--backend``).
 

@@ -14,9 +14,10 @@ ship:
     path and the parity ground truth.
 
 ``fused``
-    Single-pass :mod:`repro.kernels` routines over preallocated,
-    batch-reused buffers; bitwise-equal to ``reference`` for every
-    Table III precision and the process default.
+    The same layer ``forward`` calls, with each ReLU and activation
+    quantize run in place (:mod:`repro.kernels`) on arrays the walk
+    made itself; bitwise-equal to ``reference`` for every Table III
+    precision and the process default.
 
 Select per call (``qnet.infer(x, backend="reference")``), per network
 (``QuantizedNetwork(..., backend=...)``), or globally

@@ -7,15 +7,14 @@ backends consume the same :func:`compile_units` plan — (layer,
 trailing activation-quantizer) pairs tagged with an operation kind —
 and share the one loop that executes it, :meth:`Backend.run`.  They
 differ only in their per-unit step, :meth:`Walk.step`: the reference
-step calls the layers' own ``forward`` methods, the fused step runs
-single-pass kernels, and future backends
+step calls the layers' own ``forward`` methods, and the fused step
+calls them too but rectifies and quantizes in place.  Future backends
 (threaded, integer-arithmetic, accelerator-sim-backed) slot in behind
 the same entry points without touching any caller.
 """
 
 from __future__ import annotations
 
-import abc
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -33,9 +32,9 @@ from repro.obs.tracer import get_tracer
 
 __all__ = ["Backend", "Unit", "Walk", "compile_units"]
 
-#: Operation kinds a unit can carry.  ``other`` marks layers no fused
-#: kernel understands — every backend must still execute them (the
-#: fused backend falls back to the layer's own ``forward``).
+#: Operation kinds a unit can carry.  ``other`` marks layers of any
+#: other type — every backend must still execute them (the fused
+#: backend takes the base step, the layer's own ``forward``).
 KINDS = ("dense", "conv", "maxpool", "avgpool", "act", "quant", "reshape", "other")
 
 
@@ -59,7 +58,7 @@ class Unit:
 
 def _classify(layer: Module) -> str:
     """Exact-type kinds: a subclass may override ``forward``, so it is
-    never safe to run it through a kind-specialized kernel."""
+    never safe to treat it as its base class."""
     layer_type = type(layer)
     if layer_type is Dense:
         return "dense"
@@ -124,15 +123,14 @@ class Walk:
         return self.x
 
 
-class Backend(abc.ABC):
+class Backend:
     """Executes quantized-inference pipelines.
 
-    Subclasses implement the four per-operation entry points
-    (:meth:`dense` / :meth:`conv` / :meth:`pool` / :meth:`act`) and may
-    override :meth:`walk` to execute units their own way.  The entry
-    points always return arrays the caller owns — never a view of
-    internal scratch memory — and must be bitwise-equal to the
-    corresponding layer's ``forward`` in eval mode.
+    A subclass may override :meth:`walk` to execute units its own way.
+    The four per-operation entry points (:meth:`dense` / :meth:`conv` /
+    :meth:`pool` / :meth:`act`) run one layer's own ``forward`` on every
+    backend: they return arrays the caller owns, never a view of
+    internal scratch memory.
     """
 
     #: Registry name; set by subclasses.
@@ -141,21 +139,21 @@ class Backend(abc.ABC):
     # ------------------------------------------------------------------
     # Per-operation entry points
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def dense(self, layer: Dense, x: np.ndarray) -> np.ndarray:
         """Inner product ``x @ W + b`` for one :class:`Dense` layer."""
+        return layer.forward(x)
 
-    @abc.abstractmethod
     def conv(self, layer: Conv2D, x: np.ndarray) -> np.ndarray:
         """2-D convolution for one :class:`Conv2D` layer (NCHW)."""
+        return layer.forward(x)
 
-    @abc.abstractmethod
     def pool(self, layer: Module, x: np.ndarray) -> np.ndarray:
         """Max/avg pooling for one ``_Pool2D`` layer (NCHW)."""
+        return layer.forward(x)
 
-    @abc.abstractmethod
     def act(self, layer: Module, x: np.ndarray) -> np.ndarray:
         """Elementwise nonlinearity for one activation layer."""
+        return layer.forward(x)
 
     # ------------------------------------------------------------------
     # Whole-pipeline execution

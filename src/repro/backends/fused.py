@@ -1,12 +1,15 @@
-"""The fused backend: single-pass kernels, no memory kept between batches.
+"""The fused backend: the reference layers with in-place tails.
 
-Executes each :func:`~repro.backends.base.compile_units` unit through
-the :mod:`repro.kernels` fused routines — quantize, matmul/im2col-conv,
-pool and ReLU collapsed into single passes.  Each kernel allocates the
-array it produces or updates in place an array the walk already owns,
-so every intermediate dies once the next unit has read it, as on the
-reference path.  Outputs are bitwise-equal to the reference backend for
-every paper precision (property-tested in
+Runs every dense, conv, pool and Flatten unit of a
+:func:`~repro.backends.base.compile_units` plan through the layer's own
+``forward``, so those results are the reference bits by construction.
+What it does its own way is the elementwise tail: a ReLU unit, a
+standalone quant unit and each unit's trailing activation quant are
+rectified and quantized in place (:mod:`repro.kernels`) whenever the
+walk made the array itself, where the reference writes a fresh array
+for each.  Every intermediate dies once the next unit has read it, as
+on the reference path.  Outputs are bitwise-equal to the reference
+backend for every paper precision (property-tested in
 ``tests/kernels/test_parity.py``).
 
 Thread safety: a compiled plan (units, fusability flags, fallbacks) is
@@ -19,7 +22,9 @@ Fallbacks (always safe, never silent):
 
 - training mode runs the whole pipeline through ``Sequential.forward``
   (range trackers must observe, layers must cache backward state);
-- a unit whose kind has no kernel, or whose quantizer the kernels
+- a unit whose kind the walk does not know (any layer but an exact
+  ``Dense``, ``Conv2D``, ``MaxPool2D``, ``AvgPool2D``, ``ReLU``,
+  ``Flatten`` or ``FakeQuantLayer``), or whose quantizer the tails
   cannot reproduce exactly (stochastic rounding, custom subclass),
   takes the base step — the layer's and the quant's own ``forward``.
   Which units fall back is fixed when the plan compiles; every batch
@@ -28,41 +33,21 @@ Fallbacks (always safe, never silent):
 
 from __future__ import annotations
 
-import math
 import weakref
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.backends.base import Backend, Unit, Walk, compile_units
 from repro.core.fake_quant import FakeQuantLayer
-from repro.errors import ShapeError
-from repro.kernels.fused import (
-    fusable_quantizer,
-    fused_avgpool,
-    fused_conv2d,
-    fused_dense,
-    fused_maxpool,
-    fused_quantize,
-    fused_relu_quantize,
-    to_nchw,
-)
-from repro.nn.conv import Conv2D
-from repro.nn.dense import Dense
-from repro.nn.im2col import conv_output_size
-from repro.nn.module import Module
+from repro.kernels.fused import fusable_quantizer, fused_quantize, fused_relu_quantize
 from repro.nn.network import Sequential
-from repro.nn.pooling import AvgPool2D, MaxPool2D
 from repro.obs.metrics import get_metrics
 
 __all__ = ["FusedBackend"]
 
-#: Unit kinds with a fused kernel.
-_FUSED_KINDS = frozenset({"dense", "conv", "maxpool", "avgpool", "act", "quant", "reshape"})
-
-
 class _Plan:
-    """Compiled units of one pipeline and which of them take a kernel."""
+    """Compiled units of one pipeline and which of them the walk runs."""
 
     __slots__ = ("layer_ids", "units", "fusable", "fallbacks")
 
@@ -70,7 +55,7 @@ class _Plan:
         self.layer_ids = tuple(map(id, pipeline.layers))
         self.units: List[Unit] = compile_units(pipeline)
         self.fusable = tuple(_unit_fusable(unit) for unit in self.units)
-        #: indices of the units that take the base step instead of a kernel
+        #: indices of the units that take the base step
         self.fallbacks = frozenset(
             unit.index for unit, fusable in zip(self.units, self.fusable)
             if not fusable
@@ -78,8 +63,9 @@ class _Plan:
 
 
 def _unit_fusable(unit: Unit) -> bool:
-    """Static eligibility: kind has a kernel and quantizers are exact."""
-    if unit.kind not in _FUSED_KINDS:
+    """Static eligibility: the walk knows the kind and the tails
+    reproduce its quantizers exactly."""
+    if unit.kind == "other":
         return False
     if unit.kind == "quant":
         return (
@@ -99,121 +85,68 @@ def _hint(quant: FakeQuantLayer) -> Optional[float]:
     return tracker.max_abs if tracker.initialized else None
 
 
-def _out_hw(layer: Module, x: np.ndarray, chwn: bool) -> Tuple[int, int]:
-    """Output (H, W) of a conv or pool ``layer`` on NCHW or CHWN ``x``."""
-    h, w = (x.shape[1], x.shape[2]) if chwn else (x.shape[2], x.shape[3])
-    ceil_mode = getattr(layer, "ceil_mode", False)
-    return (
-        conv_output_size(h, layer.kernel_size, layer.stride, layer.padding, ceil_mode),
-        conv_output_size(w, layer.kernel_size, layer.stride, layer.padding, ceil_mode),
-    )
-
-
 class _FusedWalk(Walk):
-    """One batch through a fused plan: a kernel per fusable unit, the
-    base step for the plan's fallbacks.
+    """One batch through a fused plan: the layers' own forwards with
+    in-place tails, the base step for the plan's fallbacks.
 
     ``owned`` says whether the walk made ``x`` itself (writable in
     place, and the caller may keep it) or ``x`` is, or is a view of,
-    the caller's input (never written).  ``chwn`` tracks whether ``x``
-    is in channel-major (C, H, W, N) layout.
+    the caller's input (never written).
     """
 
-    __slots__ = ("plan", "owned", "chwn")
+    __slots__ = ("plan", "owned")
 
     def __init__(self, plan: _Plan, x: np.ndarray):
         super().__init__(plan.units, x)
         self.plan = plan
         self.owned = False
-        self.chwn = False
 
     def step(self, unit: Unit) -> None:
-        if unit.index not in self.plan.fallbacks:
-            self.x, self.owned, self.chwn = _run_fused(
-                unit, self.x, self.owned, self.chwn
-            )
+        x = self.x
+        if unit.index in self.plan.fallbacks:
+            super().step(unit)
+            # A forward that handed back the same array or a view (Flatten,
+            # identity quant) inherits x's ownership; only a genuinely new
+            # allocation is the walk's own.
+            if self.x is not x and self.x.base is None:
+                self.owned = True
             return
-        if self.chwn:
-            self.x, self.owned, self.chwn = to_nchw(self.x), True, False
-        prev = self.x
-        super().step(unit)
-        # A forward that handed back the same array or a view (Flatten,
-        # identity quant) inherits prev's ownership; only a genuinely
-        # new allocation is the walk's own.
-        if self.x is not prev and self.x.base is None:
-            self.owned = True
-
-    def output(self) -> np.ndarray:
-        return to_nchw(self.x) if self.chwn else self.x
+        kind, owned = unit.kind, self.owned
+        if kind not in ("act", "quant"):
+            x = unit.layer.forward(x)
+            # Dense, conv and pool forwards allocate; Flatten copies
+            # unless its input's memory already had C order
+            owned = kind != "reshape" or owned or x.base is None
+        quant = unit.layer if kind == "quant" else unit.quant
+        self.x = _tail(quant, x, owned, rectify=kind == "act")
+        self.owned = owned or self.x is not x
 
 
-def _run_fused(
-    unit: Unit, x: np.ndarray, owned: bool, chwn: bool
-) -> Tuple[np.ndarray, bool, bool]:
-    kind, layer = unit.kind, unit.layer
-    if kind == "dense":
-        if x.ndim != 2 or x.shape[1] != layer.in_features:
-            raise ShapeError(
-                f"{layer.name}: expected (N, {layer.in_features}) input, "
-                f"got {x.shape}"
-            )
-        bias = layer.bias.data if layer.bias is not None else None
-        out = fused_dense(x, layer.weight.data, bias)
-        return _quant_tail(unit, out), True, False
-    if kind == "conv":
-        in_c = x.shape[0] if chwn else (x.shape[1] if x.ndim == 4 else -1)
-        if x.ndim != 4 or in_c != layer.in_channels:
-            raise ShapeError(
-                f"{layer.name}: expected NCHW input with "
-                f"C={layer.in_channels}, got shape {x.shape}"
-            )
-        bias = layer.bias.data if layer.bias is not None else None
-        out = fused_conv2d(
-            x, layer.weight.data, bias, layer.stride, layer.padding,
-            *_out_hw(layer, x, chwn), chwn_in=chwn,
-        )
-        return _quant_tail(unit, out), True, True
-    if kind in ("maxpool", "avgpool"):
-        if x.ndim != 4:
-            raise ShapeError(
-                f"{layer.name}: expected NCHW input, got {x.shape}"
-            )
-        kernel_fn = fused_maxpool if kind == "maxpool" else fused_avgpool
-        out = kernel_fn(
-            x, layer.kernel_size, layer.stride, layer.padding,
-            *_out_hw(layer, x, chwn), chwn=chwn,
-        )
-        return _quant_tail(unit, out), True, chwn
-    if kind == "act":
-        quant = unit.quant.quantizer if unit.quant is not None else None
-        hint = _hint(unit.quant) if unit.quant is not None else None
-        return fused_relu_quantize(quant, x, hint, in_place=owned), True, chwn
-    if kind == "quant":
-        out = fused_quantize(layer.quantizer, x, _hint(layer), in_place=owned)
-        return out, owned or out is not x, chwn
-    # reshape (Flatten): the explicit feature count keeps an empty batch
-    # reshapeable
-    if chwn:
-        nchw = to_nchw(x)
-        return nchw.reshape(nchw.shape[0], math.prod(nchw.shape[1:])), True, False
-    # Flatten's C-ordered result: a view of a C-ordered input, whose
-    # ownership follows it, else a fresh copy
-    flat = np.ascontiguousarray(x.reshape(x.shape[0], math.prod(x.shape[1:])))
-    return flat, owned or flat.base is None, False
+def _tail(
+    quant: Optional[FakeQuantLayer], x: np.ndarray, owned: bool, rectify: bool = False
+) -> np.ndarray:
+    """``x`` rectified (with ``rectify``), then quantized by ``quant``.
 
-
-def _quant_tail(unit: Unit, out: np.ndarray) -> np.ndarray:
-    if unit.quant is None:
-        return out
-    # `out` is always this unit's own fresh array: quantize it where it
-    # sits
-    return fused_quantize(
-        unit.quant.quantizer, out, _hint(unit.quant), in_place=True
-    )
+    Into a fresh array, unless the walk owns ``x`` as float32: then in
+    place, in storage order.  On an NCHW view of channel-major memory
+    numpy's ufuncs leave their contiguous loop, so the tail runs over a
+    1-D view of that memory when it is one block (every array the walk
+    makes is), else over ``x`` itself.
+    """
+    quantizer = hint = None
+    if quant is not None:
+        quantizer, hint = quant.quantizer, _hint(quant)
+    kernel = fused_relu_quantize if rectify else fused_quantize
+    if not owned or x.dtype != np.float32:
+        return kernel(quantizer, x, hint)
+    flat = x.ravel(order="K")
+    kernel(quantizer, x if flat.base is None else flat, hint, in_place=True)
+    return x
 
 
 class FusedBackend(Backend):
-    """Fused-kernel execution over one immutable plan per pipeline."""
+    """The reference layers with in-place tails, over one immutable
+    plan per pipeline."""
 
     name = "fused"
 
@@ -247,35 +180,3 @@ class FusedBackend(Backend):
     # The base walk, bound here so the class owns a ``run`` of its own:
     # perfbench/layers.py traces ``FusedBackend.__dict__["run"]``.
     run = Backend.run
-
-    # ------------------------------------------------------------------
-    # Per-operation entry points (each returns a caller-owned array)
-    # ------------------------------------------------------------------
-    def dense(self, layer: Dense, x: np.ndarray) -> np.ndarray:
-        if type(layer) is not Dense:
-            return layer.forward(x)
-        bias = layer.bias.data if layer.bias is not None else None
-        return fused_dense(x, layer.weight.data, bias)
-
-    def conv(self, layer: Conv2D, x: np.ndarray) -> np.ndarray:
-        if type(layer) is not Conv2D:
-            return layer.forward(x)
-        bias = layer.bias.data if layer.bias is not None else None
-        out = fused_conv2d(
-            x, layer.weight.data, bias, layer.stride, layer.padding,
-            *_out_hw(layer, x, False),
-        )
-        # the NCHW view of channel-major memory Conv2D.forward returns
-        return out.transpose(3, 0, 1, 2)
-
-    def pool(self, layer: Module, x: np.ndarray) -> np.ndarray:
-        if type(layer) not in (MaxPool2D, AvgPool2D):
-            return layer.forward(x)
-        kernel_fn = fused_maxpool if type(layer) is MaxPool2D else fused_avgpool
-        return kernel_fn(
-            x, layer.kernel_size, layer.stride, layer.padding,
-            *_out_hw(layer, x, False),
-        )
-
-    def act(self, layer: Module, x: np.ndarray) -> np.ndarray:
-        return layer.forward(x)

@@ -11,12 +11,7 @@ against.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.backends.base import Backend
-from repro.nn.conv import Conv2D
-from repro.nn.dense import Dense
-from repro.nn.module import Module
 
 __all__ = ["ReferenceBackend"]
 
@@ -25,18 +20,6 @@ class ReferenceBackend(Backend):
     """Executes every unit through the layer's own ``forward``."""
 
     name = "reference"
-
-    def dense(self, layer: Dense, x: np.ndarray) -> np.ndarray:
-        return layer.forward(x)
-
-    def conv(self, layer: Conv2D, x: np.ndarray) -> np.ndarray:
-        return layer.forward(x)
-
-    def pool(self, layer: Module, x: np.ndarray) -> np.ndarray:
-        return layer.forward(x)
-
-    def act(self, layer: Module, x: np.ndarray) -> np.ndarray:
-        return layer.forward(x)
 
     # The base walk, bound here so the class owns a ``run`` of its own:
     # perfbench/layers.py traces ``ReferenceBackend.__dict__["run"]``.

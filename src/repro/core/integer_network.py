@@ -25,11 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.fake_quant import FakeQuantLayer
-from repro.core.integer_ops import (
-    FixedPointFormat,
-    _round_half_even_rshift,
-    align_bias,
-)
+from repro.core.integer_ops import FixedPointFormat
 from repro.core.precision import PrecisionKind
 from repro.core.quantized import QuantizedNetwork
 from repro.errors import QuantizationError
@@ -40,7 +36,8 @@ from repro.nn.im2col import conv_output_size, im2col
 from repro.nn.pooling import AvgPool2D, MaxPool2D, max_pool, sum_pool
 
 #: accumulator width carried between a MAC layer and the next requantize
-ACCUMULATOR_BITS = 48
+#: (int64; a layer whose worst case could overflow it is refused)
+ACCUMULATOR_BITS = 64
 
 
 def _round_half_even_div(values: np.ndarray, divisor: int) -> np.ndarray:
@@ -90,11 +87,42 @@ class IntegerInference:
         fmt = FixedPointFormat(quantizer.bits, frac)
         return fmt.encode(param.data), fmt
 
-    def _bias_codes(self, param) -> Tuple[np.ndarray, int]:
+    def _bias_codes(self, param) -> Tuple[np.ndarray, FixedPointFormat]:
         quantizer = self.qnet.bias_quantizer
         frac = quantizer.resolve_frac_bits(param.data, None)
         fmt = FixedPointFormat(quantizer.bits, frac)
-        return fmt.encode(param.data), frac
+        return fmt.encode(param.data), fmt
+
+    def _accumulator(
+        self, layer, fmt: FixedPointFormat, w_fmt: FixedPointFormat, fan_in: int
+    ) -> Tuple[Optional[np.ndarray], int, FixedPointFormat]:
+        """Where a MAC layer's sum lives: ``(bias, shift, format)``.
+
+        The sum sits on the finer of the product radix and the bias
+        radix: the product sum is shifted left by ``shift`` and the
+        bias codes come back already shifted, so adding them rounds
+        nothing and the next requantize is the one rounding, as in the
+        float emulation.  Raises :class:`QuantizationError` when the
+        worst case (every product at its largest magnitude, then the
+        largest bias) could overflow the int64 accumulator.
+        """
+        product_frac = fmt.frac_bits + w_fmt.frac_bits
+        bias, frac, bias_bound = None, product_frac, 0
+        if layer.bias is not None:
+            b_codes, b_fmt = self._bias_codes(layer.bias)
+            frac = max(product_frac, b_fmt.frac_bits)
+            bias = b_codes << (frac - b_fmt.frac_bits)
+            bias_bound = -b_fmt.q_min << (frac - b_fmt.frac_bits)
+        shift = frac - product_frac
+        worst = (fan_in * fmt.q_min * w_fmt.q_min << shift) + bias_bound
+        if worst >= 2**63:
+            raise QuantizationError(
+                f"{layer.name}: a worst-case accumulator of {float(worst):.3g} "
+                f"overflows int64 ({fmt.total_bits}-bit inputs, "
+                f"{w_fmt.total_bits}-bit weights, fan-in {fan_in}, "
+                f"shift {shift})"
+            )
+        return bias, shift, FixedPointFormat(ACCUMULATOR_BITS, frac)
 
     @staticmethod
     def _requantize(
@@ -175,12 +203,12 @@ class IntegerInference:
     # ------------------------------------------------------------------
     def _conv(self, layer: Conv2D, codes, fmt):
         w_codes, w_fmt = self._weight_codes(layer.weight)
-        product_frac = fmt.frac_bits + w_fmt.frac_bits
+        w_mat = w_codes.reshape(layer.out_channels, -1)
+        bias, shift, acc_fmt = self._accumulator(layer, fmt, w_fmt, w_mat.shape[1])
         cols = im2col(codes.astype(np.int64), layer.kernel_size, layer.stride, layer.padding)
-        acc = w_codes.reshape(layer.out_channels, -1) @ cols
-        if layer.bias is not None:
-            b_codes, b_frac = self._bias_codes(layer.bias)
-            acc = acc + align_bias(b_codes, b_frac, product_frac)[:, None]
+        acc = (w_mat @ cols) << shift
+        if bias is not None:
+            acc += bias[:, None]
         n = codes.shape[0]
         out_h = conv_output_size(
             codes.shape[2], layer.kernel_size, layer.stride, layer.padding
@@ -189,21 +217,20 @@ class IntegerInference:
             codes.shape[3], layer.kernel_size, layer.stride, layer.padding
         )
         acc = acc.reshape(layer.out_channels, out_h, out_w, n).transpose(3, 0, 1, 2)
-        return acc, FixedPointFormat(ACCUMULATOR_BITS, product_frac)
+        return acc, acc_fmt
 
     def _dense(self, layer: Dense, codes, fmt):
         w_codes, w_fmt = self._weight_codes(layer.weight)
-        product_frac = fmt.frac_bits + w_fmt.frac_bits
-        acc = codes.astype(np.int64) @ w_codes
-        if layer.bias is not None:
-            b_codes, b_frac = self._bias_codes(layer.bias)
-            acc = acc + align_bias(b_codes, b_frac, product_frac)
-        return acc, FixedPointFormat(ACCUMULATOR_BITS, product_frac)
+        bias, shift, acc_fmt = self._accumulator(layer, fmt, w_fmt, w_codes.shape[0])
+        acc = (codes.astype(np.int64) @ w_codes) << shift
+        if bias is not None:
+            acc += bias
+        return acc, acc_fmt
 
     @staticmethod
     def _maxpool(layer: MaxPool2D, codes):
         padded, out = layer._pooled(codes, fill=np.iinfo(np.int64).min)
-        max_pool(padded, layer.kernel_size, layer.stride, out, chwn=True)
+        max_pool(padded, layer.kernel_size, layer.stride, out)
         return out.transpose(3, 0, 1, 2)
 
     @staticmethod
@@ -211,5 +238,5 @@ class IntegerInference:
         """Window sums only; the k^2 divisor is folded into the next
         requantize so the integer path rounds exactly once."""
         padded, out = layer._pooled(codes, fill=0)
-        sum_pool(padded, layer.kernel_size, layer.stride, out, chwn=True)
+        sum_pool(padded, layer.kernel_size, layer.stride, out)
         return out.transpose(3, 0, 1, 2)

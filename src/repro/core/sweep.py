@@ -117,7 +117,8 @@ class PrecisionSweep:
         self.cache_keys: Dict[str, str] = {}
         self._float_network: Optional[Sequential] = None
         self._float_result: Optional[PrecisionResult] = None
-        self._init_digest: Optional[Tuple[Callable, str]] = None
+        self._init_network: Optional[Tuple[Callable, Sequential]] = None
+        self._init_digest: Optional[Tuple[Sequential, str]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -129,15 +130,27 @@ class PrecisionSweep:
         """The trained full-precision network (None until trained)."""
         return self._float_network
 
-    def init_digest(self) -> str:
-        """:func:`~repro.nn.serialization.state_digest` of a fresh build.
+    def init_network(self) -> Sequential:
+        """A fresh build of :attr:`builder`: the network
+        :meth:`init_digest` hashes.
 
-        Part of every cache key of this sweep's points.  It is derived
-        once per :attr:`builder` object; assigning another builder
-        derives it again.
+        Built once per :attr:`builder` object and kept; assigning
+        another builder builds again.  Callers read it (layer shapes,
+        energy pricing) and never train it.
         """
-        if self._init_digest is None or self._init_digest[0] is not self.builder:
-            self._init_digest = (self.builder, state_digest(self.builder()))
+        if self._init_network is None or self._init_network[0] is not self.builder:
+            self._init_network = (self.builder, self.builder())
+        return self._init_network[1]
+
+    def init_digest(self) -> str:
+        """:func:`~repro.nn.serialization.state_digest` of
+        :meth:`init_network`, derived once per init network.
+
+        Part of every cache key of this sweep's points.
+        """
+        network = self.init_network()
+        if self._init_digest is None or self._init_digest[0] is not network:
+            self._init_digest = (network, state_digest(network))
         return self._init_digest[1]
 
     def seed_baseline(

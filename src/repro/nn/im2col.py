@@ -12,7 +12,7 @@ is already that source, so lowering it copies nothing but the columns.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -41,42 +41,33 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int, ceil_mod
 
 
 def window_views(
-    src: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int, chwn: bool = False,
+    src: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int,
 ) -> Iterator[np.ndarray]:
-    """The k*k shifted, strided views of an (already padded) map.
+    """The k*k shifted, strided views of an (already padded)
+    channel-major ``(C, H, W, N)`` map.
 
     View ``ki*K + kj`` holds, at output position ``(oh, ow)``, the pixel
     ``(oh*stride + ki, ow*stride + kj)``; views come in that row-major
-    kernel-offset order.  Spatial axes are 2-3 for NCHW and 1-2 for
-    channel-major ``(C, H, W, N)`` (``chwn``).  The views alias
-    ``src``, so writing through them scatters into it.
+    kernel-offset order.  The views alias ``src``, so writing through
+    them scatters into it.
     """
     for ki in range(kernel):
         rows = slice(ki, ki + stride * out_h, stride)
         for kj in range(kernel):
             cols = slice(kj, kj + stride * out_w, stride)
-            yield src[:, rows, cols] if chwn else src[:, :, rows, cols]
+            yield src[:, rows, cols]
 
 
-def im2col(
-    x: np.ndarray,
-    kernel: int,
-    stride: int,
-    padding: int,
-    out: Optional[np.ndarray] = None,
-    chwn: bool = False,
-) -> np.ndarray:
-    """Lower a batch into patch columns.
+def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """Lower an NCHW batch into patch columns.
 
-    ``x`` is NCHW, or channel-major ``(C, H, W, N)`` with ``chwn``.
-    Returns ``(C*K*K, OH*OW*N)``: row ``c*K*K + ki*K + kj``, column
-    ``(oh*OW + ow)*N + n`` — the flattened receptive fields in
-    row-major output order, batch innermost.  One copy from a strided
-    view fills ``out`` when given (any contiguous buffer of that size
-    and a compatible dtype), else a fresh array of ``x``'s dtype.
+    Returns ``(C*K*K, OH*OW*N)`` of ``x``'s dtype: row ``c*K*K + ki*K +
+    kj``, column ``(oh*OW + ow)*N + n`` — the flattened receptive fields
+    in row-major output order, batch innermost — filled by one copy from
+    a strided view.
     """
     # a contiguous channel-major source: the copy moves whole batch rows
-    src = x if chwn else x.transpose(1, 2, 3, 0)
+    src = x.transpose(1, 2, 3, 0)
     if padding:
         c, h, w, n = src.shape
         pad = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=src.dtype)
@@ -87,8 +78,7 @@ def im2col(
     c, h, w, n = src.shape
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
-    if out is None:
-        out = np.empty((c * kernel * kernel, out_h * out_w * n), dtype=x.dtype)
+    out = np.empty((c * kernel * kernel, out_h * out_w * n), dtype=x.dtype)
     sc, sh, sw, sn = src.strides
     windows = np.ndarray((c, kernel, kernel, out_h, out_w, n), src.dtype, src, 0,
                          (sc, sh, sw, sh * stride, sw * stride, sn))
@@ -114,6 +104,6 @@ def col2im(
     out_w = conv_output_size(w, kernel, stride, padding)
     acc = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=cols.dtype)
     cols5 = cols.reshape(c, kernel * kernel, out_h, out_w, n)
-    for index, view in enumerate(window_views(acc, kernel, stride, out_h, out_w, chwn=True)):
+    for index, view in enumerate(window_views(acc, kernel, stride, out_h, out_w)):
         view += cols5[:, index]
     return acc[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)

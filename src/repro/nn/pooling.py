@@ -7,8 +7,8 @@ a 32x32 map and yields 16x16, not 15x15).
 
 Both directions are running walks over the k*k shifted window views
 (:func:`~repro.nn.im2col.window_views`): :func:`max_pool` and
-:func:`sum_pool` never stack the windows, and the fused inference
-kernels and the integer simulator call the same two functions.  The
+:func:`sum_pool` never stack the windows, and the integer simulator
+(:mod:`repro.core.integer_network`) calls the same two functions.  The
 layers take and return NCHW shapes but always walk channel-major
 ``(C, H, W, N)`` axes into channel-major buffers, so a conv's output
 is walked with the batch innermost and contiguous.
@@ -26,9 +26,8 @@ from repro.nn.module import Module
 from repro.nn.tensor import DTYPE
 
 
-def _views(src: np.ndarray, kernel: int, stride: int, out: np.ndarray, chwn: bool):
-    out_h, out_w = out.shape[1:3] if chwn else out.shape[2:]
-    return window_views(src, kernel, stride, out_h, out_w, chwn)
+def _views(src: np.ndarray, kernel: int, stride: int, out: np.ndarray):
+    return window_views(src, kernel, stride, *out.shape[1:3])
 
 
 def max_pool(
@@ -36,10 +35,10 @@ def max_pool(
     kernel: int,
     stride: int,
     out: np.ndarray,
-    chwn: bool = False,
     argmax: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Running ``np.maximum`` over the window views of padded ``src``.
+    """Running ``np.maximum`` over the window views of padded
+    channel-major ``src``.
 
     The maximum lands in ``out``; a NaN anywhere in a window propagates
     to its output (of a tie between ``-0.0`` and ``+0.0`` either may
@@ -47,7 +46,7 @@ def max_pool(
     receives with ``np.argmax`` semantics the window index holding the
     maximum: the first maximal view, or the first NaN.
     """
-    views = list(_views(src, kernel, stride, out, chwn))
+    views = list(_views(src, kernel, stride, out))
     np.copyto(out, views[0])
     for view in views[1:]:
         np.maximum(out, view, out=out)
@@ -69,15 +68,14 @@ def max_pool(
     return out
 
 
-def sum_pool(
-    src: np.ndarray, kernel: int, stride: int, out: np.ndarray, chwn: bool = False,
-) -> np.ndarray:
-    """Running window sum of padded ``src`` into ``out``, in view order.
+def sum_pool(src: np.ndarray, kernel: int, stride: int, out: np.ndarray) -> np.ndarray:
+    """Running window sum of padded channel-major ``src`` into ``out``,
+    in view order.
 
     That is the order in which numpy's ``sum(axis=0)`` reduces the
     stacked views whenever there is more than one output element.
     """
-    views = _views(src, kernel, stride, out, chwn)
+    views = _views(src, kernel, stride, out)
     np.copyto(out, next(views))
     for view in views:
         out += view
@@ -92,26 +90,21 @@ def pool_source(
     out_h: int,
     out_w: int,
     fill: float,
-    chwn: bool = False,
 ) -> np.ndarray:
-    """Pad ``x`` so every (possibly partial, ceil-mode) window is whole.
+    """Pad channel-major ``x`` so every (possibly partial, ceil-mode)
+    window is whole.
 
     ``x`` itself comes back when every window already fits; otherwise
-    a ``fill``-padded copy of ``x``'s dtype.  Spatial axes as in
-    :func:`~repro.nn.im2col.window_views`.
+    a ``fill``-padded copy of ``x``'s dtype.
     """
-    axis = 1 if chwn else 2
-    h, w = x.shape[axis : axis + 2]
+    c, h, w, n = x.shape
     bottom = max(0, (out_h - 1) * stride + kernel - h - padding)
     right = max(0, (out_w - 1) * stride + kernel - w - padding)
     if padding == bottom == right == 0:
         return x
-    shape = list(x.shape)
-    shape[axis : axis + 2] = padding + h + bottom, padding + w + right
-    pad = np.empty(shape, dtype=x.dtype)
+    pad = np.empty((c, padding + h + bottom, padding + w + right, n), dtype=x.dtype)
     pad.fill(fill)
-    interior = (slice(None),) * axis + (slice(padding, padding + h), slice(padding, padding + w))
-    pad[interior] = x
+    pad[:, padding : padding + h, padding : padding + w] = x
     return pad
 
 
@@ -156,7 +149,7 @@ class _Pool2D(Module):
         n, c, h, w = x.shape
         out_hw = self._out_hw(h, w)
         src = pool_source(x.transpose(1, 2, 3, 0), self.kernel_size, self.stride,
-                          self.padding, *out_hw, fill, chwn=True)
+                          self.padding, *out_hw, fill)
         return src, np.empty((c, *out_hw, n), dtype=src.dtype)
 
     def _grad_pad(self, grad: np.ndarray) -> tuple:
@@ -165,7 +158,7 @@ class _Pool2D(Module):
         if self._cache is None:
             raise ShapeError(f"{self.name}: backward called before forward")
         grad_pad = np.zeros(self._cache["pad_shape"], dtype=DTYPE)
-        return grad_pad, list(_views(grad_pad, self.kernel_size, self.stride, grad, True))
+        return grad_pad, list(_views(grad_pad, self.kernel_size, self.stride, grad))
 
     def _grad_input(self, grad_pad: np.ndarray) -> np.ndarray:
         """The unpadded interior of ``grad_pad``, as an NCHW view."""
@@ -193,7 +186,7 @@ class MaxPool2D(_Pool2D):
         argmax = None
         if self.training:
             argmax = np.empty(out.shape, dtype=np.min_scalar_type(self.kernel_size**2 - 1))
-        max_pool(x_pad, self.kernel_size, self.stride, out, chwn=True, argmax=argmax)
+        max_pool(x_pad, self.kernel_size, self.stride, out, argmax=argmax)
         if self.training:
             self._cache = {
                 "argmax": argmax.transpose(3, 0, 1, 2),
@@ -232,7 +225,7 @@ class AvgPool2D(_Pool2D):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x_pad, out = self._pooled(x, fill=0.0)
-        sum_pool(x_pad, self.kernel_size, self.stride, out, chwn=True)
+        sum_pool(x_pad, self.kernel_size, self.stride, out)
         np.divide(out, float(self.kernel_size**2), out=out)
         if self.training:
             self._cache = {"x_shape": x.shape, "pad_shape": x_pad.shape}

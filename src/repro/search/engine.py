@@ -219,7 +219,6 @@ class PrecisionSearch:
                 seed=config.dataset_seed,
             )
         self._sweeps: Dict[str, PrecisionSweep] = {}
-        self._networks: Dict[str, object] = {}
         # the width-1.0 network: the anchors' pricing network too
         self.n_layers = len(self._network(self.space.task).weight_layers())
 
@@ -238,11 +237,9 @@ class PrecisionSearch:
         return self._sweeps[network]
 
     def _network(self, name: str):
-        if name not in self._networks:
-            self._networks[name] = build_network(
-                name, seed=self.config.sweep.seed
-            )
-        return self._networks[name]
+        """The fresh network whose digest keys ``name``'s sweep points;
+        the search prices on it too."""
+        return self._sweep(name).init_network()
 
     def _energy(self, candidate: Candidate) -> float:
         report = self.energy_model.evaluate_cached(

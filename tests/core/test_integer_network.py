@@ -105,15 +105,20 @@ def test_avgpool_network_runs_integer():
     assert agree >= 0.85
 
 
-def test_lenet_small_integer_deployment(digits):
-    """End to end on a zoo architecture."""
+@pytest.fixture(scope="module")
+def trained_lenet_small(digits):
     net = build_network("lenet_small", seed=0)
     trainer = nn.Trainer(
         net, nn.SGD(net.parameters(), lr=0.02, momentum=0.9),
         batch_size=32, rng=np.random.default_rng(0),
     )
     trainer.fit(digits.train.images, digits.train.labels, epochs=3)
-    qnet = calibrated_qnet(net, digits.train.images[:64], "fixed8")
+    return net
+
+
+def test_lenet_small_integer_deployment(trained_lenet_small, digits):
+    """End to end on a zoo architecture."""
+    qnet = calibrated_qnet(trained_lenet_small, digits.train.images[:64], "fixed8")
     integer = IntegerInference(qnet)
     emulated = qnet.evaluate(digits.test.images, digits.test.labels)
     accuracy = integer.evaluate(digits.test.images, digits.test.labels)
@@ -143,3 +148,27 @@ def test_per_layer_spec_integer_logits_are_bit_equal(digits):
     # the narrow layers really run narrow: not fixed8's logits
     fixed8 = calibrated_qnet(planted(), digits.train.images[:64])
     assert not np.array_equal(emulated, fixed8.predict(x))
+
+
+@pytest.mark.parametrize("key", ["fixed4", "fixed8", "fixed:2,4,4,8:8"])
+def test_trained_integer_logits_are_bit_equal(trained_lenet_small, digits, key):
+    """With trained (nonzero) biases, every logit is the emulation's.
+
+    The bias is added on the finer of the product and bias radix
+    points, so the integer path rounds once per buffer write, where the
+    emulation does.  At these widths every float32 product sum is
+    exact, so nothing else can tell the two apart."""
+    qnet = core.QuantizedNetwork(trained_lenet_small, key)
+    qnet.calibrate(digits.train.images[:64])
+    x = digits.test.images[:64]
+    np.testing.assert_array_equal(
+        IntegerInference(qnet).predict(x), qnet.infer(x, backend="reference")
+    )
+
+
+def test_refuses_an_accumulator_int64_cannot_hold(trained_lenet_small, digits):
+    """fixed32 products of a 25-input conv1 reach ~1e20 > 2^63: refused,
+    naming the layer, rather than wrapped."""
+    qnet = calibrated_qnet(trained_lenet_small, digits.train.images[:64], "fixed32")
+    with pytest.raises(QuantizationError, match="conv1: .*overflows int64"):
+        IntegerInference(qnet).predict(digits.test.images[:4])

@@ -161,16 +161,15 @@ def test_fused_flatten_orders_a_fallbacks_channel_major_output(tiny_digits, monk
 
 def _assert_fallback_parity(tiny_digits, monkeypatch, pool_cls):
     from repro import nn
-    from repro.backends import fused as fused_module
 
     operands = []
-    fused_dense = fused_module.fused_dense
+    dense_forward = nn.Dense.forward
 
-    def spy(x, *args):
+    def spy(layer, x):
         operands.append(x.flags.c_contiguous)
-        return fused_dense(x, *args)
+        return dense_forward(layer, x)
 
-    monkeypatch.setattr(fused_module, "fused_dense", spy)
+    monkeypatch.setattr(nn.Dense, "forward", spy)
 
     gen = np.random.default_rng(0)
     net = nn.Sequential(
@@ -268,16 +267,34 @@ def test_fused_output_is_not_a_workspace_view(tiny_digits):
     np.testing.assert_array_equal(first, snapshot)
 
 
+def _flatten_then_quant(leading_quant):
+    """Flatten, then a quant that folds into Flatten's unit; with
+    ``leading_quant`` the walk owns what Flatten reshapes."""
+    from repro import nn
+
+    head = [core.FakeQuantLayer(core.FixedPointQuantizer(8))] if leading_quant else []
+    return nn.Sequential(head + [nn.Flatten(), core.FakeQuantLayer(core.FixedPointQuantizer(4))])
+
+
 def test_fused_does_not_write_caller_input(tiny_digits):
-    """The in-place fast paths must never touch the caller's array."""
-    fused = backends.get("fused")
+    """The in-place fast paths must never touch the caller's array, and
+    each pipeline still gives the reference's bits."""
     qnet = core.QuantizedNetwork(make_tiny_cnn(), "fixed8")
     qnet.calibrate(tiny_digits.train.images[:32])
-    x = tiny_digits.test.images[:6].copy()
-    snapshot = x.copy()
+    cases = [
+        ("tiny_cnn", qnet.pipeline, tiny_digits.test.images[:6].copy()),
+        *(
+            (f"flatten_quant(leading={leading})", _flatten_then_quant(leading),
+             np.random.default_rng(0).standard_normal((3, 2, 4, 4), np.float32))
+            for leading in (False, True)
+        ),
+    ]
     with qnet.quantized_weights():
-        fused.predict(qnet.pipeline, x)
-    np.testing.assert_array_equal(x, snapshot)
+        for name, pipeline, x in cases:
+            snapshot = x.copy()
+            fused = backends.get("fused").predict(pipeline, x)
+            np.testing.assert_array_equal(x, snapshot, err_msg=name)
+            _assert_bitwise(backends.get("reference").predict(pipeline, x), fused, name)
 
 
 def test_training_mode_uses_reference_path(tiny_digits):

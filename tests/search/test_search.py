@@ -195,7 +195,7 @@ def test_warm_replay_reads_no_states_and_keys_each_sweep_once(
     assert sweeps and len(fingerprints) == len(sweeps)
 
 
-def test_warm_replay_hashes_no_split_and_builds_two_networks_per_name(
+def test_warm_replay_hashes_no_split_and_builds_one_network_per_name(
     searched, cache_root, monkeypatch
 ):
     search, _ = searched
@@ -210,9 +210,10 @@ def test_warm_replay_hashes_no_split_and_builds_two_networks_per_name(
     assert resumed.cache_misses == 0
     assert hashed == []
     assert schedules == []
-    # per network name: one build for its init digest, one for pricing
+    # per network name: one build, digested for the cache keys and
+    # priced on
     assert collections.Counter(args[0] for args in builds) == {
-        entry.candidate.network: 2 for entry in resumed.evaluated
+        entry.candidate.network: 1 for entry in resumed.evaluated
     }
 
 

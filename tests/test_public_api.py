@@ -40,8 +40,7 @@ def test_backend_surface_locked():
     for name in ("Backend", "available", "get", "get_default", "register",
                  "resolve", "set_default", "using_backend", "compile_units"):
         assert name in backends.__all__, f"repro.backends.{name} unlisted"
-    for name in ("Workspace", "fused_dense", "fused_conv2d", "fused_maxpool",
-                 "fused_avgpool", "fused_quantize", "fused_relu_quantize"):
+    for name in ("Workspace", "fused_quantize", "fused_relu_quantize"):
         assert name in kernels.__all__, f"repro.kernels.{name} unlisted"
     assert set(backends.available()) >= {"reference", "fused"}
     # the single public inference entry point with per-call backend choice
