@@ -68,6 +68,12 @@ assert payload["fleet"]["restarts"] >= 1, payload["fleet"]
 assert payload["report"]["completed"] == 128, payload["report"]
 # the replica-side view counts the crashed incarnation's batches too
 assert payload["replica_compute"]["completed"] == 128, payload["replica_compute"]
+# every replica, the respawned incarnation too, computes on one BLAS
+# thread wherever this process can see an OpenBLAS
+from repro.parallel.blas import blas_threads
+if blas_threads() is not None:
+    threads = {i: r["blas_threads"] for i, r in payload["fleet"]["replicas"].items()}
+    assert set(threads.values()) == {1}, threads
 print(f"fleet-chaos smoke: {payload['fleet']['restarts']} restart(s), "
       f"{payload['fleet']['resubmissions']} resubmission(s), 0 lost")
 EOF
@@ -120,12 +126,29 @@ smoke_sim() {
 
 smoke_sweep() {
   echo "== smoke: parallel precision sweep"
-  python -m repro sweep \
-    --network lenet_small --workers 2 \
-    --precisions float32 fixed8 binary \
-    --n-train 128 --n-test 64 --float-epochs 1 --qat-epochs 1 \
-    --cache-dir /tmp/repro-sweep-cache \
-    --json | tee "$OUT/sweep.json" >/dev/null
+  run_sweep() {
+    python -m repro sweep \
+      --network lenet_small \
+      --precisions float32 fixed8 binary \
+      --n-train 128 --n-test 64 --float-epochs 1 --qat-epochs 1 \
+      --json "$@"
+  }
+  # A cold cache, so the 2-worker run trains on its pool workers (one
+  # BLAS thread each); the 1-worker run trains in this process at the
+  # host's BLAS thread count, and must give the same results.
+  rm -rf /tmp/repro-sweep-cache
+  run_sweep --workers 2 --cache-dir /tmp/repro-sweep-cache \
+    | tee "$OUT/sweep.json" >/dev/null
+  run_sweep --workers 1 --no-cache | tee "$OUT/sweep-1worker.json" >/dev/null
+  python - "$OUT/sweep.json" "$OUT/sweep-1worker.json" <<'EOF'
+import json, sys
+two, one = (json.load(open(path)) for path in sys.argv[1:])
+points = [[(r["precision"], r["accuracy"], r["converged"]) for r in run["results"]]
+          for run in (two, one)]
+assert points[0] == points[1], points
+print(f"sweep smoke: {len(points[0])} points identical at 2 workers "
+      f"({two['elapsed_s']:.2f} s) and 1 worker ({one['elapsed_s']:.2f} s)")
+EOF
 }
 
 smoke_search() {

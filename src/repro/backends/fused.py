@@ -105,11 +105,10 @@ class _FusedWalk(Walk):
         x = self.x
         if unit.index in self.plan.fallbacks:
             super().step(unit)
-            # A forward that handed back the same array or a view (Flatten,
-            # identity quant) inherits x's ownership; only a genuinely new
-            # allocation is the walk's own.
-            if self.x is not x and self.x.base is None:
-                self.owned = True
+            # Only the very array the walk already owned stays its own: a
+            # fallback's result may be a layer's buffer or a view of one,
+            # so the next tail writes a fresh array.
+            self.owned = self.owned and self.x is x
             return
         kind, owned = unit.kind, self.owned
         if kind not in ("act", "quant"):

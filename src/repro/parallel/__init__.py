@@ -27,6 +27,11 @@ precision points.  This package makes that structure executable:
     through :mod:`repro.obs` (per-point spans tagged with worker ids,
     cache hit/miss counters, a progress narrator).
 
+:mod:`repro.parallel.blas`
+    Reads and sets the thread count of the OpenBLAS numpy computes
+    on.  Sweep pool workers and fleet replicas each compute on one
+    thread: the worker processes are the parallelism.
+
 Typical use goes through the high-level surfaces rather than this
 package directly::
 

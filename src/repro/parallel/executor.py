@@ -45,6 +45,7 @@ from repro.nn.serialization import network_state
 from repro.obs.hooks import ProgressNarrator
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
+from repro.parallel.blas import set_blas_threads
 from repro.parallel.cache import (
     SweepCache,
     config_fingerprint,
@@ -355,7 +356,11 @@ def _dispatch_with_retry(
     attempts = {index: 0 for index in tasks}
     while pending:
         pool_broke = False
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+        # The workers are the sweep's parallelism: each computes on one
+        # BLAS thread, so N workers use N cores, not N x cores threads.
+        with ProcessPoolExecutor(max_workers=min(workers, len(pending)),
+                                 initializer=set_blas_threads,
+                                 initargs=(1,)) as pool:
             futures = {
                 pool.submit(run_sweep_point, task): index
                 for index, task in pending.items()

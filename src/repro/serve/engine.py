@@ -10,11 +10,16 @@ starts, feeds and stops its executor:
 
 * :class:`InferenceServer` (here): worker threads pull micro-batches
   and run one forward pass each on the matching frozen servable from
-  the :class:`~repro.serve.model_store.ModelStore`.  Threads give real
-  parallelism because the hot path is numpy BLAS, which releases the
-  GIL; on a single core they still overlap queueing with compute, and
-  batching itself provides the dominant speedup by amortizing
-  python/numpy dispatch across images.
+  the :class:`~repro.serve.model_store.ModelStore`.  The workers and
+  the front end share the process, its GIL and its one OpenBLAS pool,
+  which is as large as the host, so a forward's BLAS threads compete
+  with the front end's threads for the cores.  On a 2-vCPU host one
+  BLAS thread for the whole process raised perfbench ``serve_inproc``
+  throughput from 10.8–12.1k to 14.8–16.6k req/s but made its latency
+  worse (2.58–2.64 → 2.68–2.90 ms): a lone small-batch forward loses
+  the second thread.  So this engine leaves the count as it finds it;
+  batching provides the dominant speedup by amortizing python/numpy
+  dispatch across images.
 * :class:`~repro.serve.fleet.FleetServer`: replica processes fed
   through shared-memory rings.
 

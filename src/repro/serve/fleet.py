@@ -16,6 +16,17 @@ descriptor; replicas build their servables from the same seed,
 calibration budget and backend as a single-process server, which makes
 fleet responses bitwise identical to in-process serving.
 
+The replica processes are the fleet's parallelism, so each computes on
+one BLAS thread (:func:`repro.parallel.blas.set_blas_threads`, called
+first thing in :func:`~repro.serve.replica.replica_main`) and reports
+the count in its ``ready`` message (``ReplicaStatus.blas_threads``).
+A replica whose OpenBLAS pool were as large as the host would compete
+with its own front end's client, dispatcher and receiver threads: on
+a 2-vCPU host one replica's perfbench ``serve_fleet`` throughput went
+from ≈ 10k to ≈ 18k req/s with the cap, each batch's compute time
+unchanged.  More cores are for more replicas.  The thread count
+changes no bit (``tests/parallel/test_blas.py``).
+
 Topology::
 
     clients ──submit()──► Batcher lanes ──► dispatcher threads (1/replica)
@@ -143,6 +154,8 @@ class ReplicaStatus:
     failed: int
     artifact_digest: Optional[str]
     artifact_version: Optional[int]
+    #: BLAS threads the replica computes on; None without OpenBLAS
+    blas_threads: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -178,6 +191,7 @@ class FleetReport:
                 f"  replica {index}            : "
                 f"{'ready' if status.ready else 'down'} "
                 f"pid {status.pid} inc {status.incarnation} "
+                f"blas {status.blas_threads} "
                 f"({status.completed} ok, {status.failed} failed, "
                 f"{status.restarts} restarts){artifact}"
             )
@@ -199,6 +213,8 @@ class _ReplicaHandle:
         self.receiver: Optional[threading.Thread] = None
         self.incarnation = 0
         self.restarts = 0
+        #: BLAS threads the latest ``ready`` message reported
+        self.blas_threads: Optional[int] = None
         #: bumped by crash recovery; a dispatcher that acquired a slot
         #: under an older epoch must drop it — the ring was reset
         self.epoch = 0
@@ -492,6 +508,7 @@ class FleetServer(Server):
                     artifact_version=(
                         handle.artifact[3] if handle.artifact else None
                     ),
+                    blas_threads=handle.blas_threads,
                 )
         return FleetReport(
             aggregate=aggregate,
@@ -688,6 +705,7 @@ class FleetServer(Server):
             if kind == "heartbeat":
                 continue
             if kind == "ready":
+                handle.blas_threads = message.get("blas_threads")
                 handle.ready.set()
                 self.metrics.gauge("fleet.replicas_ready").set(
                     self.ready_replicas()

@@ -101,8 +101,13 @@ def _heartbeat_loop(sender: _Sender, interval_s: float,
 def replica_main(config: ReplicaConfig, conn) -> None:
     """Entry point of the replica process (target of ``Process``)."""
     # Imports that pull numpy/model code happen here, inside the child.
+    from repro.parallel.blas import blas_threads, set_blas_threads
     from repro.resilience.faults import chaos_preset, get_injector, set_injector
     from repro.serve.model_store import ModelStore
+
+    # The replicas are the fleet's parallelism: a BLAS pool as large as
+    # the host would compete with the front end and the other replicas.
+    set_blas_threads(1)
 
     if config.chaos_seed is not None:
         # Derive a per-(replica, incarnation) seed so respawned replicas
@@ -166,7 +171,8 @@ def replica_main(config: ReplicaConfig, conn) -> None:
     )
     heartbeat.start()
     sender.send({"type": "ready", "pid": os.getpid(),
-                 "incarnation": config.incarnation})
+                 "incarnation": config.incarnation,
+                 "blas_threads": blas_threads()})
 
     batches_served = 0
     injector = get_injector()

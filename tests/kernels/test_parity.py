@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro import backends, core
 from repro.data import load_dataset
 from repro.errors import QuantizationError
-from repro.nn import Dense, MaxPool2D
+from repro.nn import Dense, MaxPool2D, Module, ReLU, Sequential
 from repro.zoo import build_network, network_info
 from tests.conftest import make_tiny_cnn
 
@@ -295,6 +295,37 @@ def test_fused_does_not_write_caller_input(tiny_digits):
             fused = backends.get("fused").predict(pipeline, x)
             np.testing.assert_array_equal(x, snapshot, err_msg=name)
             _assert_bitwise(backends.get("reference").predict(pipeline, x), fused, name)
+
+
+class _Table(Module):
+    """A fallback layer that returns its own buffer: whole, or a view of
+    its first ``len(x)`` rows."""
+
+    def __init__(self, whole):
+        super().__init__("table")
+        self.whole = whole
+        self.table = np.random.default_rng(3).standard_normal((8, 6), np.float32)
+
+    def forward(self, x):
+        return self.table if self.whole else self.table[: len(x)]
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["view", "whole"])
+@pytest.mark.parametrize("leading_quant", [False, True], ids=["bare", "quant_in"])
+def test_fused_never_writes_a_fallbacks_result(whole, leading_quant):
+    """A fallback unit's result is the walk's own only when it is the
+    array the walk already owned: a layer that hands back its buffer,
+    or a view of it, keeps that buffer intact through the ReLU after it."""
+    table = _Table(whole)
+    head = [core.FakeQuantLayer(core.FixedPointQuantizer(8))] if leading_quant else []
+    pipeline = Sequential(head + [table, ReLU()])
+    pipeline.eval_mode()
+    x = np.random.default_rng(0).standard_normal((8 if whole else 5, 6), np.float32)
+    snapshot = table.table.copy()
+    reference = backends.get("reference").run(pipeline, x)
+    fused = backends.get("fused").run(pipeline, x)
+    np.testing.assert_array_equal(table.table, snapshot)
+    _assert_bitwise(reference, fused, f"whole={whole} leading_quant={leading_quant}")
 
 
 def test_training_mode_uses_reference_path(tiny_digits):

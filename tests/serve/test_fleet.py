@@ -93,6 +93,17 @@ def test_replica_metrics_shape(fleet):
         assert isinstance(snap["latencies_ms"], list)
 
 
+def test_replicas_report_one_blas_thread(fleet):
+    """Each replica computes on one BLAS thread and says so in the
+    fleet report, whatever the host's count in this process."""
+    from repro.parallel.blas import blas_threads
+
+    expected = None if blas_threads() is None else 1
+    report = fleet.fleet_report()
+    assert {s.blas_threads for s in report.replicas.values()} == {expected}
+    assert f"blas {expected} " in report.format()
+
+
 def test_fleet_live_segments_scoped_by_token(fleet):
     if not scan_segments():
         pytest.skip("no scannable /dev/shm on this platform")
