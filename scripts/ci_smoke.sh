@@ -26,6 +26,8 @@ import json, sys
 payload = json.load(open(sys.argv[1]))
 assert payload["report"]["completed"] == 64, payload["report"]
 assert payload["client_errors"] == 0
+# the backend the servable ran on; nothing picks another one
+assert payload["backend"] == "fused", payload["backend"]
 print(f"serve smoke: {payload['report']['throughput_ips']:.0f} img/s, "
       f"p99 {payload['report']['latency_ms_p99']:.1f} ms")
 EOF

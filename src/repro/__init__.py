@@ -70,9 +70,9 @@ The package is organized as one subpackage per subsystem:
 ``repro.backends``
     Pluggable compute-backend dispatch: a uniform ``dense`` / ``conv``
     / ``pool`` / ``act`` / ``run`` interface with ``reference`` and
-    ``fused`` implementations, selectable per call
-    (``QuantizedNetwork.infer(x, backend=...)``), per network, or
-    process-wide (``REPRO_BACKEND`` / ``--backend``).
+    ``fused`` implementations.  A call names its backend
+    (``QuantizedNetwork.infer(x, backend=...)``, ``freeze(backend=...)``,
+    ``repro profile --backend``); one that names none runs on ``fused``.
 
 ``repro.registry``
     Content-addressed model-artifact registry and deployment lifecycle:
@@ -80,7 +80,7 @@ The package is organized as one subpackage per subsystem:
     with promote/rollback/pin, Pareto-gated promotion policies reusing
     ``repro.core.pareto``, and a deployer that swaps artifacts into the
     live serving engine with zero downtime and automatic rollback
-    (``python -m repro registry publish|list|promote|rollback|serve``).
+    (``python -m repro registry publish|list|promote|rollback``).
 
 ``repro.search``
     Automated mixed-precision & width search: an evolutionary loop

@@ -17,14 +17,13 @@ ship:
     The same layer ``forward`` calls, with each ReLU and activation
     quantize run in place (:mod:`repro.kernels`) on arrays the walk
     made itself; bitwise-equal to ``reference`` for every Table III
-    precision and the process default.
+    precision, and the backend of every forward whose call names none.
 
-Select per call (``qnet.infer(x, backend="reference")``), per network
-(``QuantizedNetwork(..., backend=...)``), or globally
-(:func:`set_default`, the ``REPRO_BACKEND`` environment variable, or
-the ``--backend`` flag on ``repro sweep`` / ``repro profile`` /
-``repro serve-bench``).  See ``docs/kernels.md`` for the design and how
-to add a backend.
+A call names its backend with ``backend=`` (``qnet.infer(x,
+backend="reference")``, ``qnet.freeze(backend=...)``), with
+:func:`get` / :func:`resolve`, or on the command line with ``repro
+profile --backend``; nothing process-wide picks one.  See
+``docs/kernels.md`` for the design and how to add a backend.
 """
 
 from repro.backends.base import Backend, Unit, Walk, compile_units
@@ -32,20 +31,15 @@ from repro.backends.fused import FusedBackend
 from repro.backends.reference import ReferenceBackend
 from repro.backends.registry import (
     DEFAULT_BACKEND,
-    ENV_VAR,
     available,
     get,
-    get_default,
     register,
     resolve,
-    set_default,
-    using_backend,
 )
 
 __all__ = [
     "Backend",
     "DEFAULT_BACKEND",
-    "ENV_VAR",
     "FusedBackend",
     "ReferenceBackend",
     "Unit",
@@ -53,9 +47,6 @@ __all__ = [
     "available",
     "compile_units",
     "get",
-    "get_default",
     "register",
     "resolve",
-    "set_default",
-    "using_backend",
 ]

@@ -1,25 +1,17 @@
-"""Backend registry: name -> backend instance, plus default selection.
+"""Backend registry: name -> backend instance.
 
-Selection precedence, strongest first:
-
-1. an explicit ``backend=`` argument (name or :class:`Backend`
-   instance) on the call — ``QuantizedNetwork.infer(x, backend=...)``,
-   ``freeze(backend=...)``;
-2. a process-wide override installed with :func:`set_default` (the
-   ``--backend`` CLI flag uses this);
-3. the ``REPRO_BACKEND`` environment variable — inherited by sweep
-   worker processes, which is how ``repro sweep --backend`` reaches a
-   ``ProcessPoolExecutor``;
-4. the built-in default, ``"fused"`` (safe because the fused backend is
-   bitwise-equal to the reference path for every paper precision).
+A quantized forward runs on the backend its call names — a name or a
+:class:`Backend` instance passed as ``backend=`` to
+``QuantizedNetwork.infer`` or ``freeze``, or looked up here with
+:func:`get` / :func:`resolve` — and otherwise on
+:data:`DEFAULT_BACKEND`, ``"fused"`` (bitwise-equal to the reference
+path for every paper precision).  Nothing process-wide picks one.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import threading
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, List, Union
 
 from repro.backends.base import Backend
 from repro.backends.fused import FusedBackend
@@ -28,20 +20,13 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "DEFAULT_BACKEND",
-    "ENV_VAR",
     "available",
     "get",
-    "get_default",
     "register",
     "resolve",
-    "set_default",
-    "using_backend",
 ]
 
-#: Environment variable consulted when no explicit default is set.
-ENV_VAR = "REPRO_BACKEND"
-
-#: Built-in default backend name.
+#: The backend a forward runs on when its call names none.
 DEFAULT_BACKEND = "fused"
 
 _lock = threading.Lock()
@@ -50,7 +35,6 @@ _factories: Dict[str, Callable[[], Backend]] = {
     "fused": FusedBackend,
 }
 _instances: Dict[str, Backend] = {}
-_default_override: Optional[str] = None
 
 
 def register(name: str, factory: Callable[[], Backend]) -> None:
@@ -89,30 +73,11 @@ def get(name: str) -> Backend:
         return instance
 
 
-def get_default() -> str:
-    """The backend name used when no explicit backend is passed."""
-    if _default_override is not None:
-        return _default_override
-    return os.environ.get(ENV_VAR) or DEFAULT_BACKEND
-
-
-def set_default(name: Optional[str]) -> None:
-    """Install (or with ``None`` clear) the process-wide default."""
-    global _default_override
-    if name is not None:
-        with _lock:
-            if name not in _factories:
-                raise ConfigurationError(
-                    f"unknown backend {name!r}; available: "
-                    f"{', '.join(sorted(_factories))}"
-                )
-    _default_override = name
-
-
 def resolve(backend: Union[Backend, str, None] = None) -> Backend:
-    """Normalize an optional backend argument to a :class:`Backend`."""
+    """Normalize an optional backend argument to a :class:`Backend`
+    (``None`` is :data:`DEFAULT_BACKEND`)."""
     if backend is None:
-        return get(get_default())
+        return get(DEFAULT_BACKEND)
     if isinstance(backend, str):
         return get(backend)
     if isinstance(backend, Backend):
@@ -120,14 +85,3 @@ def resolve(backend: Union[Backend, str, None] = None) -> Backend:
     raise ConfigurationError(
         f"backend must be a name or Backend instance, got {type(backend).__name__}"
     )
-
-
-@contextlib.contextmanager
-def using_backend(name: str) -> Iterator[Backend]:
-    """Temporarily make ``name`` the process-wide default backend."""
-    previous = _default_override
-    set_default(name)
-    try:
-        yield get(name)
-    finally:
-        set_default(previous)

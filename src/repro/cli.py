@@ -20,7 +20,8 @@ Commands:
     histogram and modeled energy.  Text and ``--json`` runs share one
     exit rule (see ``docs/serving.md``).
 ``profile``
-    Per-unit profile of quantized inference on the selected backend:
+    Per-unit profile of quantized inference on the backend
+    ``--backend`` names (``fused`` by default):
     forward time, FLOPs, bytes moved through the accelerator buffers
     and weight quantization RMS error for one (network, precision)
     point, gated bitwise against the reference backend.  ``--sim``
@@ -200,21 +201,6 @@ def cmd_export_rtl(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_backend(args: argparse.Namespace) -> str:
-    """Honor a ``--backend`` flag for this process and its children.
-
-    Installs the choice both as the process-wide default (used by every
-    in-process ``infer``/``freeze``) and in the environment, so sweep
-    worker processes spawned by a ``ProcessPoolExecutor`` inherit it.
-    Returns the effective backend name.
-    """
-    name = getattr(args, "backend", None)
-    if name:
-        backends.set_default(name)
-        os.environ[backends.ENV_VAR] = name
-    return backends.get_default()
-
-
 def _serve_bench_server(
     args: argparse.Namespace,
     store: serve.ModelStore,
@@ -240,9 +226,7 @@ def _serve_bench_server(
             max_batch_size=max_batch,
             max_delay_ms=args.max_delay_ms,
             max_queue_depth=args.queue_size,
-            routing=args.routing,
             seed=store.seed,
-            backend=store.backend,
             calibration_images=store.calibration_images,
             weight_paths=store.weight_paths,
             warm=[(args.network, args.precision)],
@@ -261,7 +245,7 @@ def _serve_bench_server(
 
 
 def _bench_payload(
-    args, spec, backend_name, servable, artifact, rollout, report, *,
+    args, spec, servable, artifact, rollout, report, *,
     result=None, fleet_report=None, canary=None, injector=None,
     baseline=None, scenario=None, control_section=None,
 ) -> dict:
@@ -271,7 +255,7 @@ def _bench_payload(
     payload = {
         "network": args.network,
         "precision": spec.key,
-        "backend": backend_name,
+        "backend": servable.frozen.backend.name,
         "max_batch": args.max_batch,
         "memory_kb": float(servable.memory_kb),
         "energy_uj_per_image": float(servable.energy_uj_per_image),
@@ -303,7 +287,6 @@ def _bench_payload(
     else:
         payload.update({
             "replicas": args.replicas,
-            "routing": args.routing,
             "ring_slots": args.ring_slots,
             "crash_after": args.crash_after or None,
             "replica_compute": dataclasses.asdict(fleet_report.replica_compute),
@@ -436,17 +419,12 @@ def _print_bench(args, spec, payload: dict, body: str) -> None:
 
 
 def cmd_serve_bench(args: argparse.Namespace) -> int:
-    backend_name = _apply_backend(args)
     # flags the chosen engine would ignore fail before anything is
     # built or spawned
     if args.canary and not args.registry:
         raise RegistryError("--canary needs --registry (artifacts to roll)")
     if args.canary and args.replicas < 2:
         raise RegistryError("--canary needs --replicas >= 2 (a control group)")
-    if args.canary and args.routing == "hash":
-        raise RegistryError(
-            "--canary needs shared routing so both groups see traffic"
-        )
     if (args.expect or args.sabotage_canary) and not args.canary:
         raise ConfigurationError("--expect and --sabotage-canary need --canary")
     if args.crash_after > 0 and args.replicas == 0:
@@ -477,14 +455,13 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         weight_paths={args.network: args.weights} if args.weights else None,
         calibration_images=args.calibration,
         seed=args.seed,
-        backend=backend_name,
     )
     if channel is not None and args.replicas == 0:
         rollout = registry.Deployer(channel.store, store).rollout(channel)
     servable = store.warm(args.network, args.precision)  # build outside timing
     spec = core.PrecisionSpec.parse(args.precision)
     make_payload = functools.partial(
-        _bench_payload, args, spec, backend_name, servable, artifact, rollout
+        _bench_payload, args, spec, servable, artifact, rollout
     )
     if args.autotune:
         payload, body = _serve_bench_scenario(args, store, images, make_payload)
@@ -554,8 +531,7 @@ def _serve_bench_closed_loop(args, store, images, channel, artifact, make_payloa
         with _serve_bench_server(args, store, 1) as reference:
             baseline = closed_loop(reference, args.requests)
     executor = f"{args.workers} workers" if fleet is None else (
-        f"{args.replicas} replicas ({args.routing} routing, "
-        f"{args.ring_slots} ring slots)"
+        f"{args.replicas} replicas ({args.ring_slots} ring slots)"
     )
     body = (
         f"closed loop: {args.requests} requests, {args.concurrency} "
@@ -651,8 +627,8 @@ def _serve_bench_scenario(args, store, images, make_payload):
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    backend_name = _apply_backend(args)
-    impl = backends.get(backend_name)
+    impl = backends.get(args.backend)
+    backend_name = impl.name
     info = network_info(args.network)
     spec = core.PrecisionSpec.parse(args.precision)
     limit = max(args.limit, 1)
@@ -880,7 +856,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    backend_name = _apply_backend(args)
     info = network_info(args.network)
     split = load_dataset(info.dataset, n_train=args.n_train,
                          n_test=args.n_test, seed=args.seed)
@@ -935,7 +910,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         payload = {
             "network": args.network,
             "dataset": info.dataset,
-            "backend": backend_name,
             "workers": args.workers,
             "elapsed_s": elapsed,
             "cache_dir": store.root if store is not None else None,
@@ -1329,18 +1303,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "(overrides --network/--precision/--weights)")
     bench.add_argument("--channel", default="prod",
                        help="registry channel to deploy (with --registry)")
-    bench.add_argument("--backend", default="",
-                       help="compute backend servables are frozen onto "
-                            "(default: process default, normally fused)")
     bench.add_argument("--replicas", type=int, default=0,
                        help="serve from this many replica processes "
                             "(0 = in-process engine)")
     bench.add_argument("--ring-slots", type=int, default=2,
                        help="shared-memory batches in flight per replica")
-    bench.add_argument("--routing", default="shared",
-                       choices=["shared", "hash"],
-                       help="fleet routing: shared work-stealing queue or "
-                            "consistent-hash lane pinning")
     bench.add_argument("--crash-after", type=int, default=0, metavar="N",
                        help="deterministic chaos: kill the last replica "
                             "after N batches, assert it rejoins "
@@ -1384,10 +1351,10 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--sim", action="store_true",
                          help="append the cycle-level simulation view "
                               "(cycles, utilization, stall breakdown)")
-    profile.add_argument("--backend", default="",
-                         help="compute backend to time; any backend but "
-                              "reference is also gated bitwise against "
-                              "a reference pass")
+    profile.add_argument("--backend", default=backends.DEFAULT_BACKEND,
+                         help="compute backend to time (default: "
+                              "%(default)s); any backend but reference is "
+                              "also gated bitwise against a reference pass")
     profile.set_defaults(func=cmd_profile)
 
     simulate = sub.add_parser(
@@ -1462,10 +1429,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--publish", default="", metavar="ROOT",
                        help="publish every converged point as a registry "
                             "artifact under this root")
-    sweep.add_argument("--backend", default="",
-                       help="compute backend for evaluation forwards; "
-                            "exported via REPRO_BACKEND so sweep worker "
-                            "processes inherit it")
     sweep.add_argument("--json", action="store_true",
                        help="emit results and cache stats as JSON")
     sweep.set_defaults(func=cmd_sweep)

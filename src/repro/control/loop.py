@@ -3,7 +3,7 @@
 :class:`ControlLoop` owns the cadence.  Each tick it closes a sensor
 window (:class:`~repro.control.SensorHub`), feeds the signal to the
 :class:`~repro.control.AutoTuner`, pushes the resulting batch knob into
-every batcher the server exposes, and appends a :class:`WindowRecord`
+the server's batcher, and appends a :class:`WindowRecord`
 to its history — the per-window audit trail the scenario verdicts and
 ``serve-bench --json`` knob trajectories are built from.
 
@@ -51,9 +51,9 @@ class ControlLoop:
     """Periodic sample -> step -> actuate driver for one server.
 
     Args:
-        server: anything exposing ``stats`` and ``batchers`` (both
-            engines do); the loop reads signals from the former and
-            applies the batch knob to the latter's policies.
+        server: anything exposing ``stats`` and ``batcher`` (both
+            engines do); the loop reads signals from ``stats``, reads
+            the queue depth from ``batcher`` and sets its batch knob.
         policy: the SLO each window is judged against.
         tuner: the controller to drive, or ``None`` for an
             observe-only loop (baseline attainment measurement).
@@ -78,7 +78,7 @@ class ControlLoop:
         self.history: List[WindowRecord] = []
         self._hub = SensorHub(
             server.stats,
-            depth_fn=lambda: sum(b.depth() for b in server.batchers),
+            depth_fn=lambda: server.batcher.depth(),
             clock=clock,
         )
         self._thread: Optional[threading.Thread] = None
@@ -106,7 +106,9 @@ class ControlLoop:
                 action = self.tuner.step(signal)
                 if action is not None:
                     actions = (action,)
-                self._apply_batch_knob()
+                self.server.batcher.policy.max_batch_size = (
+                    self.tuner.batch_size
+                )
             record = WindowRecord(
                 signal=signal,
                 tier_index=self.tuner.tier_index if self.tuner else 0,
@@ -116,7 +118,7 @@ class ControlLoop:
                 ),
                 batch_size=(
                     self.tuner.batch_size if self.tuner
-                    else self.server.batchers[0].policy.max_batch_size
+                    else self.server.batcher.policy.max_batch_size
                 ),
                 admission_ips=(
                     self.tuner.admission.rate_ips if self.tuner else None
@@ -130,11 +132,6 @@ class ControlLoop:
         self.history.append(record)
         self._publish(record)
         return record
-
-    def _apply_batch_knob(self) -> None:
-        assert self.tuner is not None
-        for batcher in self.server.batchers:
-            batcher.policy.max_batch_size = self.tuner.batch_size
 
     def _publish(self, record: WindowRecord) -> None:
         self.metrics.counter("controller.windows").inc()

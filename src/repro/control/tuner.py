@@ -112,7 +112,7 @@ class AutoTuner:
 
     The tuner holds *desired* knob values; a
     :class:`~repro.control.ControlLoop` applies the batch knob to the
-    server's batchers and wires :attr:`admission` into its front end.
+    server's batcher and wires :attr:`admission` into its front end.
     The tier knob is applied by the tuner itself: install it as the
     server's ``degrade`` hook and :meth:`route` reroutes each admission
     of the nominal precision to the current tier's precision.

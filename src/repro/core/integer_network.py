@@ -4,10 +4,10 @@
 the float quantization emulation and a true integer datapath; this
 module scales that to whole networks: it executes a calibrated
 fixed-point :class:`~repro.core.quantized.QuantizedNetwork` entirely on
-integer codes — integer conv/dense with wide accumulators, ReLU and
-max-pooling on codes, rounded division for average pooling, and
-round-half-even re-quantization at every buffer write — exactly what
-the accelerator's datapath does.
+integer codes — ``integer_ops``' conv/dense with wide accumulators,
+ReLU and max-pooling on codes, rounded division for average pooling,
+and its round-half-even ``requantize`` at every buffer write — exactly
+what the accelerator's datapath does.
 
 Use it to validate deployments (does the emulated accuracy survive on
 real integer hardware?) or as a golden model for RTL verification
@@ -20,33 +20,24 @@ the layer-level proofs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core.fake_quant import FakeQuantLayer
-from repro.core.integer_ops import FixedPointFormat
+from repro.core.integer_ops import (
+    FixedPointFormat,
+    integer_conv2d,
+    integer_dense,
+    requantize,
+)
 from repro.core.precision import PrecisionKind
 from repro.core.quantized import QuantizedNetwork
 from repro.errors import QuantizationError
 from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense, Flatten
 from repro.nn.activations import ReLU
-from repro.nn.im2col import conv_output_size, im2col
 from repro.nn.pooling import AvgPool2D, MaxPool2D, max_pool, sum_pool
-
-#: accumulator width carried between a MAC layer and the next requantize
-#: (int64; a layer whose worst case could overflow it is refused)
-ACCUMULATOR_BITS = 64
-
-
-def _round_half_even_div(values: np.ndarray, divisor: int) -> np.ndarray:
-    """Integer division with round-half-to-even (for average pooling)."""
-    floor = np.floor_divide(values, divisor)
-    remainder = values - floor * divisor
-    twice = 2 * remainder
-    round_up = (twice > divisor) | ((twice == divisor) & ((floor & 1) == 1))
-    return floor + round_up.astype(np.int64)
 
 
 class IntegerInference:
@@ -80,72 +71,22 @@ class IntegerInference:
         frac = quantizer.frac_bits_for(layer.tracker.max_abs)
         return FixedPointFormat(self.spec.input_bits, frac)
 
-    def _weight_codes(self, param) -> Tuple[np.ndarray, FixedPointFormat]:
-        # each tensor at its own layer's width (per-layer specs differ)
-        quantizer = self.qnet.weight_quantizer_for(param)
-        frac = quantizer.resolve_frac_bits(param.data, None)
-        fmt = FixedPointFormat(quantizer.bits, frac)
-        return fmt.encode(param.data), fmt
+    def _operands(self, layer):
+        """A MAC layer's weight and bias codes, each with its format:
+        every weight tensor at its own layer's width (per-layer specs
+        differ), the bias at the input width, ``(None, None)`` for none."""
 
-    def _bias_codes(self, param) -> Tuple[np.ndarray, FixedPointFormat]:
-        quantizer = self.qnet.bias_quantizer
-        frac = quantizer.resolve_frac_bits(param.data, None)
-        fmt = FixedPointFormat(quantizer.bits, frac)
-        return fmt.encode(param.data), fmt
+        def encode(param, quantizer):
+            frac = quantizer.resolve_frac_bits(param.data, None)
+            fmt = FixedPointFormat(quantizer.bits, frac)
+            return fmt.encode(param.data), fmt
 
-    def _accumulator(
-        self, layer, fmt: FixedPointFormat, w_fmt: FixedPointFormat, fan_in: int
-    ) -> Tuple[Optional[np.ndarray], int, FixedPointFormat]:
-        """Where a MAC layer's sum lives: ``(bias, shift, format)``.
-
-        The sum sits on the finer of the product radix and the bias
-        radix: the product sum is shifted left by ``shift`` and the
-        bias codes come back already shifted, so adding them rounds
-        nothing and the next requantize is the one rounding, as in the
-        float emulation.  Raises :class:`QuantizationError` when the
-        worst case (every product at its largest magnitude, then the
-        largest bias) could overflow the int64 accumulator.
-        """
-        product_frac = fmt.frac_bits + w_fmt.frac_bits
-        bias, frac, bias_bound = None, product_frac, 0
-        if layer.bias is not None:
-            b_codes, b_fmt = self._bias_codes(layer.bias)
-            frac = max(product_frac, b_fmt.frac_bits)
-            bias = b_codes << (frac - b_fmt.frac_bits)
-            bias_bound = -b_fmt.q_min << (frac - b_fmt.frac_bits)
-        shift = frac - product_frac
-        worst = (fan_in * fmt.q_min * w_fmt.q_min << shift) + bias_bound
-        if worst >= 2**63:
-            raise QuantizationError(
-                f"{layer.name}: a worst-case accumulator of {float(worst):.3g} "
-                f"overflows int64 ({fmt.total_bits}-bit inputs, "
-                f"{w_fmt.total_bits}-bit weights, fan-in {fan_in}, "
-                f"shift {shift})"
-            )
-        return bias, shift, FixedPointFormat(ACCUMULATOR_BITS, frac)
-
-    @staticmethod
-    def _requantize(
-        codes: np.ndarray,
-        fmt: FixedPointFormat,
-        target: FixedPointFormat,
-        divisor: int = 1,
-    ) -> np.ndarray:
-        """One rounding from (codes / (2^fmt.frac * divisor)) onto the
-        target grid — average-pooling divisors fold in here so the
-        integer path rounds exactly once, like the float path."""
-        shift = fmt.frac_bits - target.frac_bits
-        numerator = codes.astype(np.int64)
-        if shift >= 0:
-            total_divisor = divisor << shift
-        else:
-            numerator = numerator << (-shift)
-            total_divisor = divisor
-        if total_divisor > 1:
-            rounded = _round_half_even_div(numerator, total_divisor)
-        else:
-            rounded = numerator
-        return np.clip(rounded, target.q_min, target.q_max).astype(np.int64)
+        weight = encode(layer.weight, self.qnet.weight_quantizer_for(layer.weight))
+        bias = (
+            (None, None) if layer.bias is None
+            else encode(layer.bias, self.qnet.bias_quantizer)
+        )
+        return weight + bias
 
     # ------------------------------------------------------------------
     def predict(self, images: np.ndarray) -> np.ndarray:
@@ -161,15 +102,22 @@ class IntegerInference:
                 if codes is None:
                     codes = target.encode(value)
                 else:
-                    codes = self._requantize(codes, fmt, target, divisor)
+                    codes = requantize(codes, fmt, target, divisor)
                 fmt = target
                 divisor = 1
             elif isinstance(layer, Conv2D):
                 self._require_clean(divisor, layer)
-                codes, fmt = self._conv(layer, codes, fmt)
+                w, w_fmt, b, b_fmt = self._operands(layer)
+                codes, fmt = integer_conv2d(
+                    codes, w, b, layer.stride, layer.padding,
+                    fmt, w_fmt, b_fmt, name=layer.name,
+                )
             elif isinstance(layer, Dense):
                 self._require_clean(divisor, layer)
-                codes, fmt = self._dense(layer, codes, fmt)
+                w, w_fmt, b, b_fmt = self._operands(layer)
+                codes, fmt = integer_dense(
+                    codes, w, b, fmt, w_fmt, b_fmt, name=layer.name
+                )
             elif isinstance(layer, ReLU):
                 codes = np.maximum(codes, 0)  # commutes with /divisor > 0
             elif isinstance(layer, MaxPool2D):
@@ -201,32 +149,6 @@ class IntegerInference:
         return float(np.mean(logits.argmax(axis=1) == np.asarray(labels)))
 
     # ------------------------------------------------------------------
-    def _conv(self, layer: Conv2D, codes, fmt):
-        w_codes, w_fmt = self._weight_codes(layer.weight)
-        w_mat = w_codes.reshape(layer.out_channels, -1)
-        bias, shift, acc_fmt = self._accumulator(layer, fmt, w_fmt, w_mat.shape[1])
-        cols = im2col(codes.astype(np.int64), layer.kernel_size, layer.stride, layer.padding)
-        acc = (w_mat @ cols) << shift
-        if bias is not None:
-            acc += bias[:, None]
-        n = codes.shape[0]
-        out_h = conv_output_size(
-            codes.shape[2], layer.kernel_size, layer.stride, layer.padding
-        )
-        out_w = conv_output_size(
-            codes.shape[3], layer.kernel_size, layer.stride, layer.padding
-        )
-        acc = acc.reshape(layer.out_channels, out_h, out_w, n).transpose(3, 0, 1, 2)
-        return acc, acc_fmt
-
-    def _dense(self, layer: Dense, codes, fmt):
-        w_codes, w_fmt = self._weight_codes(layer.weight)
-        bias, shift, acc_fmt = self._accumulator(layer, fmt, w_fmt, w_codes.shape[0])
-        acc = (codes.astype(np.int64) @ w_codes) << shift
-        if bias is not None:
-            acc += bias
-        return acc, acc_fmt
-
     @staticmethod
     def _maxpool(layer: MaxPool2D, codes):
         padded, out = layer._pooled(codes, fill=np.iinfo(np.int64).min)

@@ -72,29 +72,24 @@ class QuantizedNetwork:
         spec: the precision point to emulate — a :class:`PrecisionSpec`
             or any string :meth:`PrecisionSpec.parse` accepts
             (``"fixed8"``, ``"fixed:4:8"``, ``"fixed:2,4,8,8:8"``, ...).
-        quantize_bias: quantize bias vectors at the *input* precision
-            (the accumulator width); the paper keeps biases at the wider
-            input precision rather than the weight precision.
         weight_quantizer / activation_factory: override the quantizers
             the spec would select (used by the radix-placement ablation
             benchmarks); ``None`` uses
             :func:`repro.core.make_quantizers`.  A weight quantizer
             override applies to every tensor, so a per-layer spec
             rejects it with :class:`~repro.errors.ConfigError`.
-        backend: the :mod:`repro.backends` compute backend used by
-            :meth:`infer` / :meth:`predict` / :meth:`evaluate` when no
-            per-call backend is given — a name, a ``Backend`` instance,
-            or ``None`` for the process default.
+
+    Bias vectors are quantized at the *input* precision (the
+    accumulator width): the paper keeps biases at the wider input
+    precision rather than the weight precision.
     """
 
     def __init__(
         self,
         network: Sequential,
         spec: Union[PrecisionSpec, str],
-        quantize_bias: bool = True,
         weight_quantizer: Optional[Quantizer] = None,
         activation_factory: Optional[Callable[[], Quantizer]] = None,
-        backend: Union["Backend", str, None] = None,
     ):
         spec = PrecisionSpec.parse(spec)
         if weight_quantizer is not None and isinstance(spec, LayeredPrecisionSpec):
@@ -103,7 +98,6 @@ class QuantizedNetwork:
             )
         self.network = network
         self.spec = spec
-        self.backend = backend
         self._weight_quantizers: Dict[int, Quantizer] = {
             id(param): weight_quantizer or make_quantizers(layer_spec)[0]
             for layer, layer_spec in spec.weight_layer_specs(network)
@@ -112,7 +106,7 @@ class QuantizedNetwork:
         activation_factory = activation_factory or make_quantizers(spec)[1]
         self.bias_quantizer: Quantizer = (
             IdentityQuantizer(32)
-            if spec.is_float or not quantize_bias
+            if spec.is_float
             else FixedPointQuantizer(spec.input_bits)
         )
 
@@ -206,8 +200,8 @@ class QuantizedNetwork:
         See :class:`FrozenQuantizedNetwork`; while frozen, the underlying
         float network holds the quantized values and further swaps are
         rejected.  Call :meth:`FrozenQuantizedNetwork.thaw` to restore the
-        full-precision weights.  ``backend`` pins the compute backend the
-        frozen view runs on (``None`` follows this network's backend).
+        full-precision weights.  ``backend`` is the compute backend the
+        frozen view runs on (``None`` is ``fused``).
         """
         return FrozenQuantizedNetwork(self, backend=backend)
 
@@ -233,12 +227,10 @@ class QuantizedNetwork:
         """Quantized inference logits — the single public entry point.
 
         Quantized weights are swapped in for the duration of the call and
-        the batch loop runs on a :mod:`repro.backends` compute backend.
-        ``backend`` overrides, per call, the backend chosen at
-        construction (which in turn defaults to the process-wide
-        selection — see :func:`repro.backends.get_default`).
+        the batch loop runs on the :mod:`repro.backends` compute backend
+        ``backend`` names (``None`` is ``fused``).
         """
-        impl = _resolve_backend(backend if backend is not None else self.backend)
+        impl = _resolve_backend(backend)
         with self.quantized_weights():
             return impl.predict(self.pipeline, images, batch_size=batch_size)
 
@@ -322,9 +314,7 @@ class FrozenQuantizedNetwork:
         self.pipeline = qnet.pipeline
         # Resolved once at freeze time so every serving thread runs the
         # same backend for the lifetime of this view.
-        self.backend = _resolve_backend(
-            backend if backend is not None else qnet.backend
-        )
+        self.backend = _resolve_backend(backend)
         qnet._swap_in_quantized()
         self.pipeline.eval_mode()
         self._active = True

@@ -16,11 +16,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
-from repro import backends
 from repro.experiments import fig3, fig4, memory, table3, table4, table5
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SweepRunner
@@ -75,16 +73,7 @@ def main(argv=None) -> int:
              "model registry at ROOT and promote the Pareto frontier "
              "through the 'fig4' channel",
     )
-    parser.add_argument(
-        "--backend", default="", metavar="NAME",
-        help="compute backend for quantized inference (reference|fused); "
-             "exported via REPRO_BACKEND so sweep workers inherit it",
-    )
     args = parser.parse_args(argv)
-
-    if args.backend:
-        backends.set_default(args.backend)
-        os.environ[backends.ENV_VAR] = args.backend
 
     config = ExperimentConfig.full() if args.full else ExperimentConfig.from_environment()
     cache = False if args.no_cache else (args.cache_dir or True)

@@ -26,8 +26,8 @@ Components:
     ``admission`` gate and ``degrade`` router (set on the server by
     :meth:`repro.control.ControlLoop.install`; refusals raise
     ``ServerOverloadedError`` and count as ``throttled``), request ids,
-    the batcher lanes, deadline expiry, result building, and
-    drain-or-abandon on ``stop``.
+    the one batcher every executor takes batches from, deadline
+    expiry, result building, and drain-or-abandon on ``stop``.
 ``InferenceServer``
     The in-process executor: worker threads with graceful drain; thread
     safety comes from :meth:`repro.core.QuantizedNetwork.freeze`, which

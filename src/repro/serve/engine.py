@@ -2,8 +2,8 @@
 
 :class:`Server` is the one front end both serving engines share: it
 validates and admits requests, routes them through the ``admission``
-gate and ``degrade`` router, queues them on its
-:class:`~repro.serve.batcher.Batcher` lanes, expires deadlines, turns a
+gate and ``degrade`` router, queues them on its one
+:class:`~repro.serve.batcher.Batcher`, expires deadlines, turns a
 finished batch into :class:`~repro.serve.request.InferenceResult` s and
 stats, and drains or abandons queued work on ``stop``.  An engine only
 starts, feeds and stops its executor:
@@ -63,10 +63,12 @@ class Server:
 
     Subclasses implement ``_launch`` (start the executor) and
     ``_shutdown(timeout)`` (wait for it once admissions are closed);
-    the executor takes batches from :attr:`batchers` and hands each
+    the executor takes batches from :attr:`batcher` and hands each
     back through ``_finish_batch`` or ``_fail_batch``.
 
     Attributes:
+        batcher: the one queue every executor takes batches from; the
+            control loop reads its depth and sets its batch knob.
         degrade: optional overload router with
             ``route(precision, queue_depth)`` — a
             :class:`~repro.control.AutoTuner`; reroutes count in
@@ -84,36 +86,20 @@ class Server:
         max_batch_size: int,
         max_delay_ms: float,
         max_queue_depth: int,
-        lanes: int = 1,
     ):
         self.degrade = None
         self.admission = None
         self.stats = ServerStats()
-        self._batchers = [
-            Batcher(
-                BatchPolicy(max_batch_size=max_batch_size,
-                            max_delay_ms=max_delay_ms),
-                max_queue_depth=max_queue_depth,
-                on_expired=self._expire_pending,
-            )
-            for _ in range(lanes)
-        ]
+        self.batcher = Batcher(
+            BatchPolicy(max_batch_size=max_batch_size,
+                        max_delay_ms=max_delay_ms),
+            max_queue_depth=max_queue_depth,
+            on_expired=self._expire_pending,
+        )
         self._ids = itertools.count()
         self._started = False
         self._stopping = False
         self._stopped = False
-
-    @property
-    def batchers(self) -> List[Batcher]:
-        """Every batcher feeding this server — the uniform surface the
-        control loop actuates across both engines."""
-        return list(self._batchers)
-
-    def _batcher_for_key(self, key: ModelKey) -> Batcher:
-        return self._batchers[0]
-
-    def _depth(self) -> int:
-        return sum(batcher.depth() for batcher in self._batchers)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -133,13 +119,9 @@ class Server:
         if self._stopped:
             return
         self._stopping = True
-        for batcher in self._batchers:
-            batcher.close()
+        self.batcher.close()
         if not drain:
-            abandoned = [
-                pending for batcher in self._batchers
-                for pending in batcher.pop_all()
-            ]
+            abandoned = self.batcher.pop_all()
             if abandoned:
                 self._fail_batch(abandoned, ServerClosedError(
                     "server stopped before this request ran"
@@ -202,7 +184,7 @@ class Server:
             )
         degraded = False
         if self.degrade is not None:
-            routed = self.degrade.route(precision, self._depth())
+            routed = self.degrade.route(precision, self.batcher.depth())
             if routed != precision:
                 precision = routed
                 degraded = True
@@ -216,9 +198,7 @@ class Server:
         )
         future = ServeFuture()
         try:
-            self._batcher_for_key(request.model_key).put(
-                PendingRequest(request=request, future=future)
-            )
+            self.batcher.put(PendingRequest(request=request, future=future))
         except Exception:
             self.stats.record_rejection()
             raise
@@ -265,7 +245,7 @@ class Server:
         before any client can.
         """
         finished_at = time.monotonic()
-        self.stats.record_batch(len(batch), self._depth())
+        self.stats.record_batch(len(batch), self.batcher.depth())
         if digest is not None:
             key = batch[0].model_key
             self.stats.record_artifact(
@@ -342,14 +322,6 @@ class InferenceServer(Server):
         self._faults = faults
         self._threads: List[threading.Thread] = []
 
-    @property
-    def batcher(self) -> Batcher:
-        return self._batchers[0]
-
-    def warmup(self, network: str, precision: str) -> None:
-        """Pre-build a servable so first requests don't pay calibration."""
-        self.store.warm(network, precision)
-
     def _launch(self) -> None:
         for index in range(self.workers):
             thread = threading.Thread(
@@ -384,9 +356,8 @@ class InferenceServer(Server):
             )
 
     def _worker_loop(self) -> None:
-        batcher = self._batchers[0]
         while True:
-            batch = batcher.next_batch(timeout=0.1)
+            batch = self.batcher.next_batch(timeout=0.1)
             if batch is None:
                 return
             if batch:
@@ -412,5 +383,5 @@ class InferenceServer(Server):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"InferenceServer(workers={self.workers}, "
-            f"policy={self.batcher.policy!r}, depth={self._depth()})"
+            f"policy={self.batcher.policy!r}, depth={self.batcher.depth()})"
         )

@@ -4,17 +4,16 @@ The in-process :class:`~repro.serve.InferenceServer` is capped by the
 GIL for everything that is not BLAS; this module shards the fleet
 across worker *processes* instead.  The front-end process runs the
 same request front end as the in-process engine
-(:class:`~repro.serve.engine.Server`: the bounded
-:class:`~repro.serve.Batcher` lanes with their micro-batching,
-deadlines, degrade rerouting and backpressure), and N replica
-processes each run a frozen :class:`~repro.core.QuantizedNetwork`
-with a resolved backend.  Batches
-cross the process boundary through preallocated
+(:class:`~repro.serve.engine.Server`: one bounded
+:class:`~repro.serve.Batcher` with its micro-batching, deadlines,
+degrade rerouting and backpressure), and N replica processes each run
+a frozen :class:`~repro.core.QuantizedNetwork`.  Batches cross the
+process boundary through preallocated
 ``multiprocessing.shared_memory`` slots (:mod:`repro.serve.ipc`), so
 the per-batch cost is one memcpy each way plus a tiny pickled
-descriptor; replicas build their servables from the same seed,
-calibration budget and backend as a single-process server, which makes
-fleet responses bitwise identical to in-process serving.
+descriptor; replicas build their servables from the same seed and
+calibration budget as a single-process server, which makes fleet
+responses bitwise identical to in-process serving.
 
 The replica processes are the fleet's parallelism, so each computes on
 one BLAS thread (:func:`repro.parallel.blas.set_blas_threads`, called
@@ -29,7 +28,7 @@ changes no bit (``tests/parallel/test_blas.py``).
 
 Topology::
 
-    clients ──submit()──► Batcher lanes ──► dispatcher threads (1/replica)
+    clients ──submit()──► Batcher ────────► dispatcher threads (1/replica)
                                               │  shared-memory slot write
                                               ▼
                                       replica process pool
@@ -37,12 +36,11 @@ Topology::
                                               ▼
                           receiver threads ──► Server._finish_batch
 
-Routing: ``shared`` (default) lets every replica's dispatcher pull
-from one batcher — work-stealing, best aggregate throughput; ``hash``
-gives each replica its own batcher and routes each ``(network,
-precision)`` lane to a replica on a consistent-hash ring with virtual
-nodes, so a model's traffic sticks to a replica (warm caches) and
-adding replicas only remaps ~1/N of lanes.
+One queue: every replica's dispatcher takes batches from the front
+end's one batcher, so a free replica takes the next ready batch
+whatever model it is for (work stealing).  Replicas build the same
+servables (same seed, calibration budget and ``FleetConfig.warm``
+keys), so any replica can serve any batch.
 
 Failure model: every replica sends heartbeats; the monitor thread
 detects process death (or a wedged replica via heartbeat staleness),
@@ -63,7 +61,6 @@ cannot leak ``/dev/shm`` entries.
 from __future__ import annotations
 
 import atexit
-import hashlib
 import itertools
 import multiprocessing
 import os
@@ -84,11 +81,10 @@ from repro.errors import (
     ServingError,
 )
 from repro.obs.metrics import get_metrics
-from repro.serve.batcher import Batcher
 from repro.serve.engine import Server
 from repro.serve.ipc import TensorRing
 from repro.serve.replica import ReplicaConfig, replica_main
-from repro.serve.request import InferenceResult, ModelKey, PendingRequest
+from repro.serve.request import InferenceResult, PendingRequest
 from repro.serve.stats import StatsReport, batch_report
 from repro.zoo.registry import NETWORK_BUILDERS
 
@@ -111,9 +107,7 @@ class FleetConfig:
     max_batch_size: int = 32
     max_delay_ms: float = 2.0
     max_queue_depth: int = 256
-    routing: str = "shared"           # "shared" (work stealing) | "hash"
     seed: int = 0
-    backend: Optional[str] = None
     calibration_images: int = 128
     memory_budget_kb: float = 16384.0
     weight_paths: Dict[str, str] = field(default_factory=dict)
@@ -121,7 +115,6 @@ class FleetConfig:
     warm: List[Tuple[str, str]] = field(default_factory=list)
     #: serve this registry artifact: (root, channel, digest, version)
     startup_artifact: Optional[Tuple[str, str, str, int]] = None
-    start_method: str = "spawn"
     startup_timeout_s: float = 180.0
     heartbeat_s: float = 0.25
     heartbeat_timeout_s: float = 30.0
@@ -135,10 +128,6 @@ class FleetConfig:
             raise ConfigurationError("replicas must be >= 1")
         if self.ring_slots < 1:
             raise ConfigurationError("ring_slots must be >= 1")
-        if self.routing not in ("shared", "hash"):
-            raise ConfigurationError(
-                f"routing must be 'shared' or 'hash', got {self.routing!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -253,10 +242,9 @@ class FleetServer(Server):
 
     Drop-in for :class:`~repro.serve.InferenceServer` on the client
     side — both are the same :class:`~repro.serve.engine.Server` — so
-    :func:`repro.serve.run_closed_loop` drives either engine.  With
-    ``hash`` routing there is one batcher lane per replica.  The ring
-    slots are sized by ``config.max_batch_size``, so a batch knob
-    applied to :attr:`batchers` must never exceed that bound.
+    :func:`repro.serve.run_closed_loop` drives either engine.  The
+    ring slots are sized by ``config.max_batch_size``, so a batch knob
+    applied to :attr:`batcher` must never exceed that bound.
     """
 
     # perfbench traces each engine's own ``__dict__["submit"]``
@@ -264,24 +252,21 @@ class FleetServer(Server):
 
     def __init__(self, config: Optional[FleetConfig] = None):
         self.config = config or FleetConfig()
-        hashed = self.config.routing == "hash"
         super().__init__(
             self.config.max_batch_size,
             self.config.max_delay_ms,
             self.config.max_queue_depth,
-            lanes=self.config.replicas if hashed else 1,
         )
         self.metrics = get_metrics()
-        self._ctx = multiprocessing.get_context(self.config.start_method)
+        # a fresh interpreter per replica: a forked one would inherit
+        # the front end's threads mid-flight and the locks they hold
+        self._ctx = multiprocessing.get_context("spawn")
         self._seqs = itertools.count()
         self._token = None
         self._handles: List[_ReplicaHandle] = []
         self._dispatchers: List[threading.Thread] = []
         self._monitor: Optional[threading.Thread] = None
         self._monitor_stop = threading.Event()
-        self._hash_ring: List[Tuple[int, int]] = (
-            self._build_hash_ring(self.config.replicas) if hashed else []
-        )
         self._restarts = 0
         self._resubmissions = 0
         self._state_lock = threading.Lock()
@@ -379,7 +364,6 @@ class FleetServer(Server):
             segment_names=handle.ring.segment_names(),
             input_bytes=handle.ring.input_bytes,
             seed=config.seed,
-            backend=config.backend,
             calibration_images=config.calibration_images,
             memory_budget_kb=config.memory_budget_kb,
             weight_paths=dict(config.weight_paths),
@@ -445,44 +429,6 @@ class FleetServer(Server):
                 handle.ring.unlink()
             except Exception:
                 pass
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _build_hash_ring(replicas: int, vnodes: int = 64) -> List[Tuple[int, int]]:
-        ring = []
-        for index in range(replicas):
-            for vnode in range(vnodes):
-                digest = hashlib.sha256(
-                    f"replica-{index}-vnode-{vnode}".encode()
-                ).digest()
-                ring.append((int.from_bytes(digest[:8], "big"), index))
-        ring.sort()
-        return ring
-
-    def _route(self, key: ModelKey) -> int:
-        """Replica index owning this lane on the consistent-hash ring."""
-        point = int.from_bytes(
-            hashlib.sha256(
-                f"{key.network}@{key.precision}".encode()
-            ).digest()[:8],
-            "big",
-        )
-        for marker, index in self._hash_ring:
-            if marker >= point:
-                return index
-        return self._hash_ring[0][1]
-
-    def _batcher_for_replica(self, index: int) -> Batcher:
-        if self.config.routing == "hash":
-            return self._batchers[index]
-        return self._batchers[0]
-
-    def _batcher_for_key(self, key: ModelKey) -> Batcher:
-        if self.config.routing == "hash":
-            return self._batchers[self._route(key)]
-        return self._batchers[0]
 
     # ------------------------------------------------------------------
     # Fleet views
@@ -613,13 +559,12 @@ class FleetServer(Server):
         return total
 
     def _dispatch_loop(self, handle: _ReplicaHandle) -> None:
-        batcher = self._batcher_for_replica(handle.index)
         while True:
             if not handle.ready.wait(timeout=0.05):
                 if self._stopped:
                     return
                 continue
-            batch = batcher.next_batch(timeout=0.05)
+            batch = self.batcher.next_batch(timeout=0.05)
             if batch is None:
                 # closed and drained — but crash recovery may requeue
                 # in-flight work, so only exit once nothing is pending
@@ -643,7 +588,7 @@ class FleetServer(Server):
                 # never dispatched, so no resubmission penalty: hand the
                 # batch back for this dispatcher (once the replica
                 # rejoins) or a peer to pick up
-                self._batcher_for_key(key).requeue(batch)
+                self.batcher.requeue(batch)
                 return
             epoch = handle.epoch
             slot = ring.acquire(timeout=0.25)
@@ -688,7 +633,7 @@ class FleetServer(Server):
                         ring.release(slot)
                     except ConfigurationError:
                         pass
-                    self._batcher_for_key(key).requeue(batch)
+                    self.batcher.requeue(batch)
                     return
             self.metrics.counter("fleet.dispatched_batches").inc()
             return
@@ -786,8 +731,7 @@ class FleetServer(Server):
             else:
                 survivors.append(pending)
         if survivors:
-            key = survivors[0].model_key
-            self._batcher_for_key(key).requeue(survivors)
+            self.batcher.requeue(survivors)
             self._resubmissions += len(survivors)
             self.metrics.counter("fleet.resubmitted_requests").inc(
                 len(survivors)
@@ -867,7 +811,7 @@ class FleetServer(Server):
         deadline = time.monotonic() + (120.0 if timeout is None else timeout)
         # wait for queues + in-flight work to drain
         while time.monotonic() < deadline:
-            if self._depth() == 0 and self._total_in_flight() == 0:
+            if self.batcher.depth() == 0 and self._total_in_flight() == 0:
                 break
             time.sleep(0.01)
         self._stopped = True
@@ -906,6 +850,5 @@ class FleetServer(Server):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"FleetServer(replicas={self.config.replicas}, "
-            f"routing={self.config.routing!r}, "
             f"ready={self.ready_replicas()})"
         )

@@ -83,8 +83,6 @@ class ModelStore:
             activation ranges.
         calibration_data: optional ``dataset name -> images`` override;
             when absent the registry's synthetic task data is used.
-        energy_model: shared :class:`EnergyModel` (reports are cached
-            per (network, shape, precision) inside it).
         seed: build seed for networks served without trained weights.
         retry_policy: backoff policy for servable builds that fail with
             a :data:`RETRYABLE_BUILD_ERRORS` type (injected faults,
@@ -100,18 +98,16 @@ class ModelStore:
         weight_paths: Optional[Dict[str, str]] = None,
         calibration_images: int = 128,
         calibration_data: Optional[Dict[str, np.ndarray]] = None,
-        energy_model: Optional[EnergyModel] = None,
         seed: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
-        backend: Optional[str] = None,
     ):
         self.memory_budget_kb = memory_budget_kb
         self.weight_paths = dict(weight_paths or {})
         self.calibration_images = calibration_images
-        self.energy_model = energy_model or EnergyModel()
+        #: the store's own energy model; its reports are cached per
+        #: (network, shape, precision)
+        self.energy_model = EnergyModel()
         self.seed = seed
-        #: compute backend every servable is frozen onto (None = default)
-        self.backend = backend
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=3, base_delay_s=0.01, max_delay_s=0.25
         )
@@ -164,7 +160,7 @@ class ModelStore:
         registry_digest, registry_version = artifact or (None, None)
         return Servable(
             key=key,
-            frozen=qnet.freeze(backend=self.backend),
+            frozen=qnet.freeze(),
             input_shape=info.input_shape,
             memory_kb=footprint.total_kb,
             energy_uj_per_image=energy.energy_uj,

@@ -2,9 +2,9 @@
 
 A replica is spawned by :class:`repro.serve.fleet.FleetServer` with a
 picklable :class:`ReplicaConfig`, builds its own
-:class:`~repro.serve.ModelStore` (same seed, calibration budget and
-backend as a single-process server would use, so a fleet's responses
-are bitwise identical to in-process serving), attaches to the
+:class:`~repro.serve.ModelStore` (same seed and calibration budget
+as a single-process server would use, so a fleet's responses are
+bitwise identical to in-process serving), attaches to the
 front-end's shared-memory ring, and then serves commands from the
 control pipe:
 
@@ -60,7 +60,6 @@ class ReplicaConfig:
     segment_names: List[str]
     input_bytes: int
     seed: int = 0
-    backend: Optional[str] = None
     calibration_images: int = 128
     memory_budget_kb: float = 16384.0
     weight_paths: Dict[str, str] = field(default_factory=dict)
@@ -123,7 +122,6 @@ def replica_main(config: ReplicaConfig, conn) -> None:
         weight_paths=config.weight_paths or None,
         calibration_images=config.calibration_images,
         seed=config.seed,
-        backend=config.backend,
     )
     ring = ReplicaRing(config.segment_names, config.input_bytes)
     sabotage_armed = False

@@ -1,6 +1,4 @@
-"""Backend registry, selection precedence, and entry-point contracts."""
-
-import os
+"""Backend registry, selection, and entry-point contracts."""
 
 import numpy as np
 import pytest
@@ -8,15 +6,6 @@ import pytest
 from repro import backends, core, nn
 from repro.errors import ConfigurationError
 from tests.conftest import make_tiny_cnn
-
-
-@pytest.fixture(autouse=True)
-def clean_selection(monkeypatch):
-    """Isolate each test from process-wide default / env leakage."""
-    monkeypatch.delenv(backends.ENV_VAR, raising=False)
-    backends.set_default(None)
-    yield
-    backends.set_default(None)
 
 
 # ----------------------------------------------------------------------
@@ -54,40 +43,23 @@ def test_register_custom_backend():
 
 
 # ----------------------------------------------------------------------
-# Selection precedence: explicit arg > set_default > env > built-in
+# Selection: the backend the call names, else fused
 # ----------------------------------------------------------------------
-def test_default_is_fused():
-    assert backends.get_default() == "fused"
+def test_default_is_fused(tiny_digits):
+    assert backends.DEFAULT_BACKEND == "fused"
     assert backends.resolve(None).name == "fused"
-
-
-def test_env_var_overrides_builtin_default(monkeypatch):
-    monkeypatch.setenv(backends.ENV_VAR, "reference")
-    assert backends.get_default() == "reference"
-    assert backends.resolve(None).name == "reference"
-
-
-def test_set_default_overrides_env(monkeypatch):
-    monkeypatch.setenv(backends.ENV_VAR, "fused")
-    backends.set_default("reference")
-    assert backends.get_default() == "reference"
-    backends.set_default(None)  # cleared -> env visible again
-    assert backends.get_default() == "fused"
-
-
-def test_set_default_validates_name():
-    with pytest.raises(ConfigurationError):
-        backends.set_default("bogus")
-
-
-def test_explicit_argument_beats_everything(monkeypatch, tiny_digits):
-    monkeypatch.setenv(backends.ENV_VAR, "fused")
-    backends.set_default("fused")
     qnet = core.QuantizedNetwork(make_tiny_cnn(), "fixed8")
-    impl = backends.resolve("reference")
-    assert impl.name == "reference"
-    out = qnet.infer(tiny_digits.test.images[:2], backend="reference")
-    assert out.shape == (2, 10)
+    qnet.calibrate(tiny_digits.train.images[:16])
+    images = tiny_digits.test.images[:3]
+    # a call that names a backend runs on it; one that names none, fused
+    reference = qnet.infer(images, backend="reference")
+    assert reference.shape == (3, 10)
+    np.testing.assert_array_equal(qnet.infer(images), reference)
+    frozen = qnet.freeze()
+    try:
+        assert frozen.backend is backends.get("fused")
+    finally:
+        frozen.thaw()
 
 
 def test_resolve_accepts_instances_and_rejects_junk():
@@ -95,29 +67,6 @@ def test_resolve_accepts_instances_and_rejects_junk():
     assert backends.resolve(instance) is instance
     with pytest.raises(ConfigurationError, match="name or Backend"):
         backends.resolve(42)
-
-
-def test_using_backend_context_restores_previous():
-    backends.set_default("fused")
-    with backends.using_backend("reference") as impl:
-        assert impl.name == "reference"
-        assert backends.get_default() == "reference"
-    assert backends.get_default() == "fused"
-
-
-def test_network_level_backend_choice(tiny_digits):
-    qnet = core.QuantizedNetwork(
-        make_tiny_cnn(), "fixed8", backend="reference"
-    )
-    qnet.calibrate(tiny_digits.train.images[:16])
-    reference = qnet.infer(tiny_digits.test.images[:3])
-    fused = qnet.infer(tiny_digits.test.images[:3], backend="fused")
-    np.testing.assert_array_equal(reference, fused)
-    frozen = qnet.freeze()  # inherits the network's backend
-    try:
-        assert frozen.backend.name == "reference"
-    finally:
-        frozen.thaw()
 
 
 # ----------------------------------------------------------------------
@@ -186,24 +135,3 @@ def test_frozen_view_uses_selected_backend(tiny_digits):
         assert out.shape == (2, 10)
     finally:
         frozen.thaw()
-
-
-def test_env_var_reaches_subprocess(tmp_path):
-    """REPRO_BACKEND is how sweep worker processes inherit --backend."""
-    import subprocess
-    import sys
-
-    code = (
-        "from repro import backends; print(backends.get_default())"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        part for part in ("src", env.get("PYTHONPATH")) if part
-    )
-    env[backends.ENV_VAR] = "reference"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=env, cwd=os.getcwd(),
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "reference"

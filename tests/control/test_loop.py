@@ -24,15 +24,14 @@ class FakeClock:
 
 
 class FakeServer:
-    """Just enough server: stats + batchers + the two actuator slots."""
+    """Just enough server: stats + one batcher + the two actuator slots."""
 
-    def __init__(self, n_batchers=2):
+    def __init__(self):
         self.stats = ServerStats(metrics=MetricsRegistry())
-        self.batchers = [
-            Batcher(BatchPolicy(max_batch_size=32, max_delay_ms=1.0),
-                    max_queue_depth=64)
-            for _ in range(n_batchers)
-        ]
+        self.batcher = Batcher(
+            BatchPolicy(max_batch_size=32, max_delay_ms=1.0),
+            max_queue_depth=64,
+        )
         self.degrade = None
         self.admission = None
 
@@ -71,11 +70,11 @@ def test_observe_only_loop_never_actuates():
     record = loop.tick()
     assert record.slo_met is False
     assert record.actions == ()
-    assert server.batchers[0].policy.max_batch_size == 32  # untouched
+    assert server.batcher.policy.max_batch_size == 32  # untouched
 
 
 def test_tick_applies_batch_knob_to_every_batcher():
-    server = FakeServer(n_batchers=3)
+    server = FakeServer()
     clock = FakeClock()
     loop, tuner = make_loop(server, clock=clock)
     loop.install()
@@ -85,8 +84,7 @@ def test_tick_applies_batch_knob_to_every_batcher():
     record = loop.tick()
     assert record.actions and record.actions[0].knob == "batch"
     assert tuner.batch_size == 2 * tuner.knobs.preferred_batch
-    for batcher in server.batchers:
-        assert batcher.policy.max_batch_size == tuner.batch_size
+    assert server.batcher.policy.max_batch_size == tuner.batch_size
 
 
 def test_attainment_counts_only_traffic_windows():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import core, nn
-from repro.core.integer_network import IntegerInference, _round_half_even_div
+from repro.core.integer_network import IntegerInference
+from repro.core.integer_ops import _round_half_even_div
 from repro.data import load_dataset
 from repro.errors import QuantizationError
 from repro.zoo import build_network

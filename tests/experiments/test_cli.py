@@ -27,3 +27,11 @@ def test_cli_memory(capsys):
 def test_cli_rejects_unknown():
     with pytest.raises(SystemExit):
         main(["resnet"])
+
+
+def test_cli_takes_no_backend(capsys):
+    """Quantized forwards run on fused; no flag picks another."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["table3", "--backend", "fused"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -197,8 +197,6 @@ def test_config_validation():
         FleetConfig(replicas=0)
     with pytest.raises(ConfigurationError):
         FleetConfig(ring_slots=0)
-    with pytest.raises(ConfigurationError):
-        FleetConfig(routing="random")
 
 
 def test_submit_validates_like_the_in_process_server(fleet):
@@ -222,7 +220,7 @@ def test_resubmit_budget_turns_into_a_typed_failure():
 
     config = FleetConfig(replicas=1, max_resubmits=1)
     fleet = FleetServer(config)            # never started: unit scope
-    fleet._batchers = [Batcher(BatchPolicy())]
+    fleet.batcher = Batcher(BatchPolicy())
     request = InferenceRequest(
         image=np.zeros((1, 28, 28), dtype=np.float32),
         model_key=ModelKey(network="lenet_small", precision="fixed8"),
@@ -232,8 +230,8 @@ def test_resubmit_budget_turns_into_a_typed_failure():
     pending = PendingRequest(request=request, future=ServeFuture())
     fleet._resubmit([pending])             # 1st: back onto the queue
     assert fleet.resubmissions == 1
-    assert fleet._batchers[0].depth() == 1
-    requeued = fleet._batchers[0].next_batch(timeout=0.5)
+    assert fleet.batcher.depth() == 1
+    requeued = fleet.batcher.next_batch(timeout=0.5)
     fleet._resubmit(requeued)              # 2nd: budget exhausted
     with pytest.raises(ReplicaCrashError):
         pending.future.result(timeout=1.0)
@@ -241,7 +239,7 @@ def test_resubmit_budget_turns_into_a_typed_failure():
 
 def test_failed_send_requeues_the_batch_uncharged():
     """A batch whose send raised never reached a replica: it goes back
-    on its lane without spending resubmission budget, and the replica
+    on the queue without spending resubmission budget, and the replica
     is marked dead so no dispatcher sends to it again before recovery."""
     from repro.serve.batcher import Batcher, BatchPolicy
     from repro.serve.fleet import _ReplicaHandle
@@ -255,7 +253,7 @@ def test_failed_send_requeues_the_batch_uncharged():
             raise BrokenPipeError("replica gone")
 
     fleet = FleetServer(FleetConfig(replicas=1))   # never started: unit scope
-    fleet._batchers = [Batcher(BatchPolicy())]
+    fleet.batcher = Batcher(BatchPolicy())
     ring = TensorRing(0, slots=1, input_bytes=4 * 28 * 28)
     try:
         handle = _ReplicaHandle(0, ring)
@@ -273,25 +271,8 @@ def test_failed_send_requeues_the_batch_uncharged():
         assert not handle.in_flight
         assert ring.states() == {0: SlotState.FREE}
         assert pending.resubmits == 0 and fleet.resubmissions == 0
-        assert fleet._batchers[0].next_batch(timeout=0.5) == [pending]
+        assert fleet.batcher.next_batch(timeout=0.5) == [pending]
         assert not pending.future.done()
     finally:
         ring.close()
         ring.unlink()
-
-
-def test_hash_routing_is_deterministic_and_spread():
-    from repro.serve.request import ModelKey
-
-    ring = FleetServer._build_hash_ring(replicas=4)
-    assert ring == FleetServer._build_hash_ring(replicas=4)
-    config = FleetConfig(replicas=4, routing="hash")
-    fleet = FleetServer(config)            # never started: unit scope
-    fleet._hash_ring = ring
-    keys = [
-        ModelKey(network="lenet_small", precision=p)
-        for p in ("fixed8", "fixed16", "float32", "minifloat8")
-    ]
-    routes = {key: fleet._route(key) for key in keys}
-    assert routes == {key: fleet._route(key) for key in keys}
-    assert all(0 <= replica < 4 for replica in routes.values())

@@ -9,14 +9,6 @@ from repro import backends, obs
 from repro.cli import main
 
 
-@pytest.fixture
-def backend_flag(monkeypatch):
-    """``--backend`` sets the process default and the environment; undo both."""
-    monkeypatch.setenv(backends.ENV_VAR, backends.get_default())
-    yield
-    backends.set_default(None)
-
-
 def test_hw_report(capsys):
     assert main(["hw-report", "--precision", "pow2"]) == 0
     out = capsys.readouterr().out
@@ -154,7 +146,7 @@ def test_simulating_a_per_layer_spec_is_a_usage_error(argv, capsys):
     assert capsys.readouterr().err.startswith("error: precision:")
 
 
-def test_profile_times_the_backend_it_names(capsys, backend_flag):
+def test_profile_times_the_backend_it_names(capsys):
     fallbacks = obs.get_metrics().counter("kernels.fused.fallback_units")
     before = fallbacks.value
     assert main(["profile", "--backend", "fused", "--network", "lenet_small",
@@ -171,11 +163,30 @@ def test_profile_times_the_backend_it_names(capsys, backend_flag):
     assert all(row["calls"] == 1 for row in payload["layers"])
 
 
-def test_profile_on_the_reference_backend(capsys, backend_flag):
+def test_profile_on_the_reference_backend(capsys):
+    environment = dict(os.environ)
     assert main(["profile", "--backend", "reference", "--limit", "8",
                  "--calibration", "8"]) == 0
     out = capsys.readouterr().out
     assert "reference backend" in out and "TOTAL" in out
+    # the flag names this run's backend and nothing else's: no process
+    # default moved, and nothing was written for child processes
+    assert backends.resolve(None).name == "fused"
+    assert dict(os.environ) == environment
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep", "backend", "fused"),
+    ("serve-bench", "backend", "fused"),
+    ("serve-bench", "routing", "hash"),
+])
+def test_only_profile_names_a_backend_and_a_fleet_has_one_queue(
+    command, flag, value, capsys
+):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, f"--{flag}", value])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_train_with_a_negative_seed_is_a_usage_error(capsys):

@@ -37,9 +37,12 @@ def test_backend_surface_locked():
     from repro import backends, kernels
     from repro.core import QuantizedNetwork
 
-    for name in ("Backend", "available", "get", "get_default", "register",
-                 "resolve", "set_default", "using_backend", "compile_units"):
+    for name in ("Backend", "DEFAULT_BACKEND", "available", "get",
+                 "register", "resolve", "compile_units"):
         assert name in backends.__all__, f"repro.backends.{name} unlisted"
+    # a call names its backend or runs on fused: no process-wide choice
+    assert not {"ENV_VAR", "get_default", "set_default", "using_backend"} & set(
+        dir(backends))
     for name in ("Workspace", "fused_quantize", "fused_relu_quantize"):
         assert name in kernels.__all__, f"repro.kernels.{name} unlisted"
     assert set(backends.available()) >= {"reference", "fused"}
